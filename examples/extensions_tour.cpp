@@ -6,12 +6,13 @@
 //   $ ./example_extensions_tour
 
 #include <cstdio>
+#include <memory>
 
 #include "tytra/codegen/maxj.hpp"
 #include "tytra/codegen/testbench.hpp"
 #include "tytra/cost/roofline.hpp"
 #include "tytra/cost/tiling.hpp"
-#include "tytra/dse/tuner.hpp"
+#include "tytra/dse/session.hpp"
 #include "tytra/kernels/kernels.hpp"
 #include "tytra/sim/functional.hpp"
 
@@ -29,7 +30,12 @@ int main() {
     cfg.lanes = v.lanes();
     return kernels::make_sor(cfg);
   };
-  const auto tuned = dse::tune(n, lower, db);
+  dse::Job job;
+  job.n = n;
+  job.lower = std::make_shared<dse::FnLowerer>(lower);
+  job.db = &db;
+  dse::Session session;
+  const auto tuned = session.tune(job);
   std::printf("=== targeted tuning ===\n%s\n", dse::format_tune(tuned).c_str());
 
   // --- 2. Roofline placement of the chosen design ---------------------------

@@ -7,9 +7,10 @@
 //   $ ./example_sor_explore
 
 #include <cstdio>
+#include <memory>
 
 #include "tytra/codegen/verilog.hpp"
-#include "tytra/dse/explorer.hpp"
+#include "tytra/dse/session.hpp"
 #include "tytra/kernels/kernels.hpp"
 
 int main() {
@@ -32,16 +33,19 @@ int main() {
 
   std::printf("exploring SOR variants on %s (%llu work-items)...\n\n",
               device.name.c_str(), static_cast<unsigned long long>(n));
-  dse::DseOptions options;
-  options.max_lanes = 16;
-  const dse::DseResult result = dse::explore(n, lower, db, options);
+  dse::Session session;  // lane cap 16, one worker per hardware thread
+  dse::Job job;
+  job.n = n;
+  job.lower = std::make_shared<dse::FnLowerer>(lower);
+  job.db = &db;
+  const dse::DseResult result = session.explore(job);
   std::printf("%s\n", dse::format_sweep(result).c_str());
   std::printf("explored %zu variants in %.3f s (%.1f ms per variant)\n\n",
               result.entries.size(), result.explore_seconds,
               1e3 * result.explore_seconds /
                   static_cast<double>(result.entries.size()));
 
-  const auto baseline = dse::maxj_baseline(n, lower, db);
+  const auto baseline = session.baseline(job);
   const auto* best = result.best_entry();
   if (best == nullptr) {
     std::fprintf(stderr, "no valid variant found\n");

@@ -5,21 +5,13 @@
 // invalid designs (resource / bandwidth walls), and rank the rest by EKIT
 // — the guided optimisation search of paper §II/§VI.
 //
-// Evaluation is batched and parallel: the variant list is a work-queue
-// fanned out across a thread pool, each worker lowering and costing
-// independently (optionally through a shared memoizing CostCache), and
-// the results are merged deterministically in enumeration order — the
-// parallel sweep is byte-identical to the sequential one. Besides the
-// single best design, the sweep yields the Pareto frontier over
-// throughput, resource pressure and bandwidth share, so callers see the
-// whole trade-off surface.
-//
-// Lowering goes through the Lowerer interface (dse/lowerer.hpp): a
-// KeyedLowerer lets a warm cache answer from the variant-key table
-// without materializing any IR, each worker reuses a private BuildArena
-// for the cold lowerings, and the plain-LowerFn overloads keep
-// std::function callers working unchanged (no key, structural-digest
-// caching only).
+// This header holds the sweep's result types and table renderers; the
+// engine is dse::Session (dse/session.hpp). Evaluation is batched and
+// parallel, and the results are merged deterministically in enumeration
+// order — the parallel sweep is byte-identical to the sequential one.
+// Besides the single best design, the sweep yields the Pareto frontier
+// over throughput, resource pressure and bandwidth share, so callers see
+// the whole trade-off surface.
 
 #include <optional>
 #include <vector>
@@ -38,27 +30,6 @@ struct DseEntry {
 
   DseEntry(frontend::Variant v, cost::CostReport r)
       : variant(std::move(v)), report(std::move(r)) {}
-};
-
-struct DseOptions {
-  /// Lane-count cap of the sweep. Validated at the API boundary: 0 is
-  /// rejected with std::invalid_argument (an empty sweep is always a
-  /// caller bug, never a request).
-  std::uint32_t max_lanes{16};
-  bool include_seq{false};
-  /// Worker threads for the batched evaluation; 0 means one per hardware
-  /// thread, 1 runs the sequential path inline. Explicit requests are
-  /// clamped: never more than 4x the hardware concurrency (beyond that
-  /// workers only add scheduler contention, and an unbounded request
-  /// could exhaust OS thread limits mid-spawn) and never more workers
-  /// than variants. Workers are NOT clamped to the cache's shard count:
-  /// cache reads are lock-free, so warm (hit-dominated) sweeps scale
-  /// past the shard count instead of queuing on shard locks — shards
-  /// only spread the insert contention of cold sweeps.
-  std::uint32_t num_threads{0};
-  /// Optional memoizing cache shared across sweeps (tuner trajectories,
-  /// bench reruns, multi-device surveys). May be null.
-  CostCache* cache{nullptr};
 };
 
 /// One point of the throughput / resource / bandwidth trade-off surface.
@@ -83,30 +54,6 @@ struct DseResult {
     return best ? &entries[*best] : nullptr;
   }
 };
-
-/// Explores the reshape family for a kernel of `n` work-items. When
-/// `lower` provides variant keys and `options.cache` is warm, the sweep
-/// never lowers IR at all.
-///
-/// Deprecation-ready: prefer dse::Session (dse/session.hpp), which owns
-/// the cache/devices/arenas this overload set threads by hand. This free
-/// function is a thin shim over a temporary Session — byte-identical
-/// results — and will gain [[deprecated]] once in-tree callers migrate.
-/// Throws std::invalid_argument when options are invalid (max_lanes == 0).
-DseResult explore(std::uint64_t n, const Lowerer& lower,
-                  const cost::DeviceCostDb& db, const DseOptions& options = {});
-/// std::function shim: structural-digest caching only (no variant keys).
-/// Deprecation-ready: prefer dse::Session::explore (see above).
-DseResult explore(std::uint64_t n, const LowerFn& lower,
-                  const cost::DeviceCostDb& db, const DseOptions& options = {});
-
-/// The MaxJ-like HLS baseline: pipeline parallelism only, no architectural
-/// exploration — i.e. the baseline (1-lane) variant's cost report.
-/// Deprecation-ready: prefer dse::Session::baseline (dse/session.hpp).
-cost::CostReport maxj_baseline(std::uint64_t n, const Lowerer& lower,
-                               const cost::DeviceCostDb& db);
-cost::CostReport maxj_baseline(std::uint64_t n, const LowerFn& lower,
-                               const cost::DeviceCostDb& db);
 
 /// Formats the sweep as a table (one row per lane count: utilization per
 /// resource class, bandwidth shares and EKIT — the data behind Fig. 15).

@@ -10,8 +10,9 @@
 //
 // Wire protocol (see ARCHITECTURE.md "Daemon & wire protocol"): frames
 // are length-prefixed JSON (support/framing.hpp, support/json.hpp). A
-// request is one object with "cmd" ∈ {explore, tune, campaign, list,
-// ping, shutdown} carrying the same fields the tytra-cc CLI accepts.
+// request is one encoded dse::Command (dse/command.hpp): "cmd" ∈
+// {explore, tune, campaign, list, lint, ping, shutdown} with the same
+// fields the tytra-cc CLI accepts, decoded and planned by the same code.
 // Responses stream: one {"type":"job"} frame per completed job, then one
 // final {"type":"result"} (exit code + the byte-identical stdout a
 // standalone tytra-cc run would have printed) or {"type":"error"}.
@@ -96,9 +97,6 @@ class Server {
 
   [[nodiscard]] const std::string& socket_path() const;
   [[nodiscard]] ServerStats stats() const;
-  /// The shared session — for tests, and only while serve() is not
-  /// running (Session methods are not thread-safe).
-  [[nodiscard]] Session& session();
 
  private:
   struct Impl;

@@ -26,26 +26,27 @@
 // Work is described by a Job ({workload, size, device} plus per-job
 // knobs) and submitted through explore / tune / baseline, or batched as
 // a Campaign whose result adds the cross-device comparison and a merged
-// Pareto view over every job. run(Campaign) schedules campaign-wide:
-// every job's variants are flattened into one work list and evaluated
-// concurrently through the shared cache (many small jobs keep every
-// worker busy instead of parallelizing each job alone), while the
-// per-job merge, best and Pareto computation stay in enumeration order —
-// campaign output is byte-identical to running the jobs one at a time.
-// The legacy free functions in explorer.hpp and tuner.hpp are thin shims
-// over a temporary Session and produce byte-identical results
-// (tests/test_session.cpp pins this).
+// Pareto view over every job. explore() and run() share one evaluation
+// core: a sweep is a one-job batch of the same flattened, failure-
+// contained evaluation a campaign runs. run(Campaign) schedules
+// campaign-wide: every job's variants are flattened into one work list
+// and evaluated concurrently through the shared cache (many small jobs
+// keep every worker busy instead of parallelizing each job alone), while
+// the per-job merge, best and Pareto computation stay in enumeration
+// order — campaign output is byte-identical to running the jobs one at a
+// time. The front-ends (tytra-cc, tytra-dsed) drive a Session through
+// dse::Command (dse/command.hpp).
 //
-// Thread-safety: the session's cache is safe for concurrent use —
-// including one cache shared across sessions via the cache_override
-// parameters — but Session methods themselves are not: explore / tune /
-// baseline / run share the persistent pool and its per-worker arenas.
-// Drive one job or campaign at a time per Session; each call
-// parallelizes internally on the session's pool.
+// Thread-safety: the session's cache is safe for concurrent use, but
+// Session methods themselves are not: explore / tune / baseline / run
+// share the persistent pool and its per-worker arenas. Drive one job or
+// campaign at a time per Session; each call parallelizes internally on
+// the session's pool.
 
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -66,18 +67,21 @@ namespace tytra::dse {
 struct SessionOptions {
   /// Default lane-count cap for jobs that do not set their own.
   std::uint32_t max_lanes{16};
-  /// Worker threads per batch evaluation; same semantics and clamping as
-  /// DseOptions::num_threads (0 = one per hardware thread). The workers
-  /// are persistent: the session spawns its ThreadPool once, on the
-  /// first batch that resolves to more than one worker, and reuses it
-  /// for every subsequent sweep, tune walk and campaign.
+  /// Worker threads per batch evaluation; 0 means one per hardware
+  /// thread, 1 runs inline. Explicit requests are clamped: never more
+  /// than 4x the hardware concurrency (beyond that workers only add
+  /// scheduler contention) and never more workers than variants. Workers
+  /// are not clamped to the cache's shard count: cache reads are
+  /// lock-free, so warm sweeps scale past it. The workers are persistent:
+  /// the session spawns its ThreadPool once, on the first batch that
+  /// resolves to more than one worker, and reuses it for every
+  /// subsequent sweep, tune walk and campaign.
   std::uint32_t num_threads{0};
   /// Shard count forwarded to the session's CostCache (0 = auto).
   std::size_t cache_shards{0};
-  /// When false the session owns no cache and jobs run uncached unless a
-  /// per-call override is supplied — the legacy free-function semantics
-  /// (their shims construct a cache-less Session so that a caller who
-  /// passed no cache keeps paying exactly zero caching overhead).
+  /// When false the session owns no cache and every job runs uncached —
+  /// for single-shot callers that evaluate each variant once, where a
+  /// cache would be pure keying and insert overhead.
   bool enable_cache{true};
   /// When non-empty, the session warm-starts from this snapshot file at
   /// construction. Degradation is the contract, not an afterthought: a
@@ -113,15 +117,13 @@ struct Job {
   std::uint32_t nd{0};
   /// NDRange size (work-items per kernel instance). Must be >= 1.
   std::uint64_t n{0};
-  /// How variants materialize. Shared so campaign jobs own their lowerer;
-  /// shims alias the caller's without taking ownership.
+  /// How variants materialize. Shared so campaign jobs own their lowerer.
   std::shared_ptr<const Lowerer> lower;
   /// Device-table name to cost against; empty selects the default device
   /// (the first one added). Ignored when `db` is set.
   std::string device;
   /// Direct database override bypassing the device table (non-owning;
-  /// must outlive the call). The legacy shims use this to borrow the
-  /// caller's already-calibrated database without copying it.
+  /// must outlive the call), for callers that calibrated their own.
   const cost::DeviceCostDb* db{nullptr};
   /// Lane-count cap for this job; 0 inherits SessionOptions::max_lanes.
   /// Bounds both the sweep's enumeration and the tuner's reshape walk
@@ -130,8 +132,7 @@ struct Job {
   std::uint32_t max_lanes{0};
   /// Also enumerate the sequential (C4) variant.
   bool include_seq{false};
-  /// Step budget for tune() (<= 0 yields an empty trajectory, matching
-  /// the free function).
+  /// Step budget for tune() (<= 0 yields an empty trajectory).
   int max_steps{12};
   /// Per-job wall-clock budget in seconds, measured from the start of
   /// the explore/tune/run call this job is part of; 0 inherits
@@ -256,25 +257,25 @@ class Session {
     return device_order_;
   }
 
-  /// Sweeps the job's reshape family. Validates the job at this boundary
-  /// — null lowerer, n == 0, an effective lane cap of 0, or an unknown
-  /// device name all throw std::invalid_argument with a message naming
-  /// the offending field. `cache_override` replaces the session cache
-  /// for this call (the legacy shims route their caller's cache through
-  /// here); null means the session cache, or uncached when caching is
-  /// disabled.
-  DseResult explore(const Job& job, CostCache* cache_override = nullptr);
+  /// Sweeps the job's reshape family: a one-job run() that keeps the
+  /// single-job contract. Validates the job at this boundary — null
+  /// lowerer, n == 0, an effective lane cap of 0, or an unknown device
+  /// name all throw std::invalid_argument with a message naming the
+  /// offending field. A failed evaluation rethrows its original
+  /// exception; an expiry throws DeadlineExceeded, a cancel
+  /// CancelledError. cache_stats are filled only when the session caches.
+  DseResult explore(const Job& job);
 
   /// Walks the feedback path from the baseline variant (see dse/tuner.hpp),
   /// riding the session cache — after explore() of the same job, the whole
   /// trajectory answers at the variant-key level. The walk is bounded by
   /// the job's resolved lane cap (Job::max_lanes, falling back to
   /// SessionOptions::max_lanes).
-  TuneResult tune(const Job& job, CostCache* cache_override = nullptr);
+  TuneResult tune(const Job& job);
 
-  /// The MaxJ-like HLS baseline: the 1-lane variant's cost report.
-  cost::CostReport baseline(const Job& job,
-                            CostCache* cache_override = nullptr);
+  /// The MaxJ-like HLS baseline: pipeline parallelism only, no
+  /// architectural exploration — the 1-lane variant's cost report.
+  cost::CostReport baseline(const Job& job);
 
   /// Runs the whole campaign through the shared cache and merges the
   /// cross-device comparison + Pareto view. Scheduling is campaign-wide:
@@ -306,8 +307,7 @@ class Session {
   /// repeated in another job, the repeat re-evaluates cold — its results
   /// are unchanged, but its hit/miss stats can differ from the
   /// fault-free run.
-  CampaignResult run(const Campaign& campaign,
-                     CostCache* cache_override = nullptr);
+  CampaignResult run(const Campaign& campaign);
 
   /// The session cache (null when SessionOptions::enable_cache is false).
   [[nodiscard]] CostCache* cache() { return cache_.get(); }
@@ -344,9 +344,17 @@ class Session {
     std::uint32_t max_lanes;
   };
   [[nodiscard]] ResolvedJob resolve(const Job& job) const;
-  [[nodiscard]] CostCache* effective_cache(CostCache* override_cache) {
-    return override_cache ? override_cache : cache_.get();
+  /// The job's wall-clock budget: its own, else the session's.
+  [[nodiscard]] double deadline_of(const Job& job) const {
+    return job.deadline_seconds > 0 ? job.deadline_seconds
+                                    : options_.deadline_seconds;
   }
+  /// The evaluation core shared by explore() and run(): resolves and
+  /// enumerates every job, evaluates the flattened variants in two waves
+  /// with per-job failure containment, and merges each job in
+  /// enumeration order. Defined in session.cpp.
+  struct Batch;
+  Batch evaluate(std::span<const Job> jobs);
   /// Grows the arena pool to at least `n` workers.
   std::vector<ir::BuildArena>& arenas(std::size_t n);
   /// The widest batch this session will ever run (the num_threads clamp
@@ -405,6 +413,13 @@ namespace detail {
 /// Exposed for tests; not a stable public API.
 std::vector<bool> skyline_keep(const std::vector<ParetoPoint>& candidates);
 }  // namespace detail
+
+/// The campaign-level view over finished per-job results: cache stats
+/// summed over the jobs and the merged Pareto frontier over their
+/// per-job frontiers (points keep (job, enumeration) order). Session::run
+/// and the daemon, which evaluates a campaign one job at a time, both
+/// assemble through this. campaign_seconds is left for the caller.
+CampaignResult merge_campaign(std::vector<CampaignJobResult> jobs);
 
 /// Cross-device comparison table: one row per campaign job (workload,
 /// nd, device, variant count, best design). Deterministic — no wall

@@ -9,7 +9,8 @@
 // step it reads the limiting factor of the current variant and applies
 // the one transformation that attacks that wall (more lanes on a compute
 // wall; stop with a diagnosis on a bandwidth wall, which no amount of
-// replication fixes).
+// replication fixes). The walk is Session::tune (dse/session.hpp); this
+// header holds its result types and renderer.
 
 #include <optional>
 #include <string>
@@ -39,25 +40,6 @@ struct TuneResult {
   /// Precondition: `best` is engaged (at least one valid step).
   [[nodiscard]] const TuneStep& best_step() const { return trajectory[*best]; }
 };
-
-/// Tunes the design for a kernel of `n` work-items starting from the
-/// baseline pipeline. Evaluates at most `max_steps` variants — typically
-/// far fewer than the exhaustive sweep (max_steps <= 0 yields an empty
-/// trajectory). When `cache` is given, variants already costed (by a
-/// prior sweep, or a prior tuner run over the same kernel) are looked up
-/// instead of re-evaluated — and a keyed lowerer answers those lookups
-/// from the variant-key table without lowering IR.
-///
-/// Deprecation-ready: prefer dse::Session::tune (dse/session.hpp), whose
-/// session cache makes the sweep-then-tune pattern automatic. This free
-/// function is a thin shim over a temporary Session — byte-identical
-/// results — and will gain [[deprecated]] once in-tree callers migrate.
-TuneResult tune(std::uint64_t n, const Lowerer& lower,
-                const cost::DeviceCostDb& db, int max_steps = 12,
-                CostCache* cache = nullptr);
-TuneResult tune(std::uint64_t n, const LowerFn& lower,
-                const cost::DeviceCostDb& db, int max_steps = 12,
-                CostCache* cache = nullptr);
 
 /// Renders the tuning trajectory.
 std::string format_tune(const TuneResult& result);

@@ -8,7 +8,8 @@
 // objects, arrays, strings (with \uXXXX escapes), doubles, bools, null.
 //
 // Deliberately not a general-purpose library: no DOM mutation helpers,
-// no serialization (the renderers own that), no streaming. Strictness
+// no document serialization (the renderers own that, through escape()
+// and write_number() below), no streaming. Strictness
 // follows RFC 8259 where it matters for a network-facing daemon —
 // depth-limited nesting (a 10 kB frame of '[' must not recurse the
 // stack away), duplicate keys keep the last value, trailing garbage is
@@ -16,6 +17,7 @@
 // an exception, because every malformed frame is expected input.
 
 #include <cstdint>
+#include <iosfwd>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -94,5 +96,10 @@ Result<Value> parse(std::string_view text);
 /// bytes as \u00XX). Exposed here so protocol code composing frames by
 /// hand agrees byte-for-byte with what the parser accepts.
 std::string escape(std::string_view s);
+
+/// Writes `v` as a JSON number at round-trip precision (17 significant
+/// digits); non-finite values, which JSON cannot carry, become null. The
+/// stream's own precision is restored afterwards.
+void write_number(std::ostream& os, double v);
 
 }  // namespace tytra::json

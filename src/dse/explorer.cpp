@@ -1,64 +1,10 @@
 #include "tytra/dse/explorer.hpp"
 
 #include <sstream>
-#include <stdexcept>
 
-#include "tytra/dse/session.hpp"
 #include "tytra/support/strings.hpp"
 
-// The sweep engine lives in session.cpp (dse::Session is the one
-// evaluation path); this file keeps the legacy free-function surface —
-// thin shims over a temporary cache-less Session — and the table
-// renderers.
-
 namespace tytra::dse {
-
-namespace detail {
-// Shim plumbing shared with tuner.cpp; defined in session.cpp.
-Job borrow_job(std::uint64_t n, const Lowerer& lower,
-               const cost::DeviceCostDb& db);
-Session shim_session(std::uint32_t num_threads);
-}  // namespace detail
-
-namespace {
-
-void validate_options(const DseOptions& options) {
-  // API-boundary validation: a zero lane cap always meant "empty sweep by
-  // accident", never a real request — reject it with a structured error
-  // instead of silently enumerating nothing.
-  if (options.max_lanes == 0) {
-    throw std::invalid_argument(
-        "dse::explore: DseOptions::max_lanes must be >= 1");
-  }
-}
-
-}  // namespace
-
-DseResult explore(std::uint64_t n, const Lowerer& lower,
-                  const cost::DeviceCostDb& db, const DseOptions& options) {
-  validate_options(options);
-  Session session = detail::shim_session(options.num_threads);
-  Job job = detail::borrow_job(n, lower, db);
-  job.max_lanes = options.max_lanes;
-  job.include_seq = options.include_seq;
-  return session.explore(job, options.cache);
-}
-
-DseResult explore(std::uint64_t n, const LowerFn& lower,
-                  const cost::DeviceCostDb& db, const DseOptions& options) {
-  return explore(n, FnLowerer(lower), db, options);
-}
-
-cost::CostReport maxj_baseline(std::uint64_t n, const Lowerer& lower,
-                               const cost::DeviceCostDb& db) {
-  Session session = detail::shim_session(1);
-  return session.baseline(detail::borrow_job(n, lower, db));
-}
-
-cost::CostReport maxj_baseline(std::uint64_t n, const LowerFn& lower,
-                               const cost::DeviceCostDb& db) {
-  return maxj_baseline(n, FnLowerer(lower), db);
-}
 
 std::string format_sweep(const DseResult& result) {
   std::ostringstream os;

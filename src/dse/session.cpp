@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <exception>
+#include <functional>
 #include <iomanip>
 #include <limits>
 #include <map>
@@ -19,24 +20,21 @@
 #include <tuple>
 
 #include "tytra/support/failpoint.hpp"
+#include "tytra/support/json.hpp"
 #include "tytra/support/strings.hpp"
 
 // This file IS the DSE engine: the batched parallel sweep, the tuner's
-// feedback walk and the Pareto skyline all live here, and the free
-// functions in explorer.cpp / tuner.cpp are thin shims over a temporary
-// Session. There is exactly one evaluation path, so the Session API and
-// the legacy API cannot drift apart.
+// feedback walk and the Pareto skyline all live here. explore() and
+// run() share one evaluation core (Session::evaluate), so a sweep and a
+// campaign job cannot drift apart.
 
 namespace tytra::dse {
 
 namespace {
 
 std::uint32_t resolve_threads(std::uint32_t requested, std::size_t work_items) {
-  // The clamping policy is documented on DseOptions::num_threads: at most
-  // 4x the core count and at most one worker per variant. Workers are not
-  // clamped to the cache's shard count — cache reads are lock-free, so a
-  // warm (hit-dominated) sweep scales past the shard count instead of
-  // queuing on shard locks.
+  // The clamping policy is documented on SessionOptions::num_threads: at
+  // most 4x the core count and at most one worker per variant.
   std::uint32_t cores = std::thread::hardware_concurrency();
   if (cores == 0) cores = 1;
   std::uint32_t n = requested == 0 ? cores : std::min(requested, 4 * cores);
@@ -108,6 +106,20 @@ struct EvalContext {
   }
 };
 
+/// One variant's report: through the cache when there is one (recording
+/// which level answered in `level`), else lowered and costed directly.
+cost::CostReport cost_variant(const frontend::Variant& variant,
+                              const Lowerer& lower,
+                              const cost::DeviceCostDb& db, CostCache* cache,
+                              ir::BuildArena& arena,
+                              CostCache::HitLevel* level = nullptr) {
+  if (cache) return cache->cost(variant, lower, db, level, &arena);
+  ir::Module module = lower.lower(variant, &arena);
+  cost::CostReport report = cost::cost_design(module, db);
+  arena.recycle(std::move(module));
+  return report;
+}
+
 /// Drains `tasks` into per-task slots. The work-queue is a single atomic
 /// cursor; slots are disjoint, so workers never contend on results, and
 /// merging slots in enumeration order is deterministic no matter the
@@ -171,16 +183,8 @@ void evaluate_tasks(const std::vector<EvalTask>& tasks, CostCache* cache,
       }
       try {
         failpoint::maybe_throw("dse.pool-task");
-        if (cache) {
-          CostCache::HitLevel level = CostCache::HitLevel::Miss;
-          slots[t.slot] = cache->cost(*t.variant, *t.lower, *t.db, &level,
-                                      &arena);
-          levels[t.slot] = level;
-        } else {
-          ir::Module module = t.lower->lower(*t.variant, &arena);
-          slots[t.slot] = cost::cost_design(module, *t.db);
-          arena.recycle(std::move(module));
-        }
+        slots[t.slot] = cost_variant(*t.variant, *t.lower, *t.db, cache, arena,
+                                     &levels[t.slot]);
       } catch (...) {
         const bool first =
             !ctx.dead[t.job].exchange(true, std::memory_order_relaxed);
@@ -403,9 +407,8 @@ std::optional<std::size_t> best_valid_index(const Seq& seq, GetReport get) {
 }
 
 /// Deterministic merge in enumeration order: moves variants[i] +
-/// slots[offset + i] into entries, then derives best and the frontier.
-/// Shared by explore and the campaign's per-job attribution of one
-/// flattened batch.
+/// slots[offset + i] into entries, then derives best and the frontier —
+/// the per-job attribution of one flattened batch.
 void merge_sweep(DseResult& result, std::vector<frontend::Variant>& variants,
                  std::vector<std::optional<cost::CostReport>>& slots,
                  std::size_t offset) {
@@ -448,14 +451,7 @@ TuneResult run_tune(std::uint64_t n, const Lowerer& lower,
     if (deadline_seconds > 0 && seconds_since(t0) >= deadline_seconds) {
       throw DeadlineExceeded(deadline_seconds);
     }
-    cost::CostReport report;
-    if (cache) {
-      report = cache->cost(current, lower, db, nullptr, &arena);
-    } else {
-      ir::Module module = lower.lower(current, &arena);
-      report = cost::cost_design(module, db);
-      arena.recycle(std::move(module));
-    }
+    cost::CostReport report = cost_variant(current, lower, db, cache, arena);
     const bool valid = report.valid;
     const cost::Wall wall = report.throughput.limiting;
     result.trajectory.emplace_back(current, std::move(report), action);
@@ -532,6 +528,49 @@ constexpr std::uint32_t kSecCalibration = 4;
 /// digest scheme, calibration layout). Bump on any change to those — the
 /// container format version in binio.hpp only covers the framing.
 constexpr std::uint32_t kSnapshotPayloadVersion = 1;
+
+/// Opens a snapshot file and checks its container and meta section.
+Result<binio::Reader> open_snapshot(const std::string& path) {
+  auto opened = binio::Reader::open(path);
+  if (!opened.ok()) return opened.diag();
+  binio::Reader reader = std::move(opened).take();
+  if (!reader.has_section(kSecMeta)) {
+    return make_error("snapshot: missing meta section");
+  }
+  binio::Decoder meta(reader.section(kSecMeta));
+  const std::uint32_t payload_version = meta.u32();
+  if (meta.ok() && payload_version != kSnapshotPayloadVersion) {
+    return make_error("snapshot: payload version " +
+                      std::to_string(payload_version) +
+                      " unsupported (this build reads " +
+                      std::to_string(kSnapshotPayloadVersion) + ")");
+  }
+  if (!meta.at_end()) return make_error("snapshot: " + meta.error());
+  return reader;
+}
+
+/// Decodes the calibration section (when present), handing each stored
+/// (device name, fingerprint, database) to `take`; the first defect is
+/// returned.
+std::optional<Diag> decode_calibrations(
+    const binio::Reader& reader,
+    const std::function<void(std::string, std::uint64_t, cost::DeviceCostDb)>&
+        take) {
+  if (!reader.has_section(kSecCalibration)) return std::nullopt;
+  binio::Decoder calib(reader.section(kSecCalibration));
+  const std::uint64_t count = calib.u64();
+  if (!calib.fits(count, 8)) return make_error("snapshot: " + calib.error());
+  for (std::uint64_t i = 0; i < count; ++i) {
+    std::string name = calib.str();
+    const std::uint64_t fingerprint = calib.u64();
+    auto db = cost::DeviceCostDb::load(calib);
+    if (!db.ok()) return db.diag();
+    if (!calib.ok()) return make_error("snapshot: " + calib.error());
+    take(std::move(name), fingerprint, std::move(db).take());
+  }
+  if (!calib.at_end()) return make_error("snapshot: " + calib.error());
+  return std::nullopt;
+}
 
 }  // namespace
 
@@ -614,28 +653,16 @@ Result<Session::SnapshotStats> Session::load_snapshot(const std::string& path) {
   if (failpoint::fire("snapshot.load")) {
     return make_error("snapshot: injected fault at failpoint 'snapshot.load'");
   }
-  auto opened = binio::Reader::open(path);
+  auto opened = open_snapshot(path);
   if (!opened.ok()) return opened.diag();
   const binio::Reader reader = std::move(opened).take();
 
-  if (!reader.has_section(kSecMeta)) {
-    return make_error("snapshot: missing meta section");
-  }
-  binio::Decoder meta(reader.section(kSecMeta));
-  const std::uint32_t payload_version = meta.u32();
-  if (meta.ok() && payload_version != kSnapshotPayloadVersion) {
-    return make_error("snapshot: payload version " +
-                      std::to_string(payload_version) +
-                      " unsupported (this build reads " +
-                      std::to_string(kSnapshotPayloadVersion) + ")");
-  }
-  if (!meta.at_end()) return make_error("snapshot: " + meta.error());
-
   // Any failure past this point rolls the session back to fully cold: a
   // prefix of a snapshot must be indistinguishable from no snapshot.
-  const auto rollback = [&] {
+  const auto rollback = [&](const Diag& why) {
     if (cache_) cache_->clear();
     restored_.clear();
+    return why;
   };
 
   SnapshotStats stats;
@@ -643,43 +670,18 @@ Result<Session::SnapshotStats> Session::load_snapshot(const std::string& path) {
     binio::Decoder structural(reader.section(kSecStructural));
     binio::Decoder variant(reader.section(kSecVariant));
     auto counts = cache_->load(structural, variant);
-    if (!counts.ok()) {
-      rollback();
-      return counts.diag();
-    }
+    if (!counts.ok()) return rollback(counts.diag());
     stats.structural_entries = counts.value().structural;
     stats.variant_entries = counts.value().variant;
   }
-
-  if (reader.has_section(kSecCalibration)) {
-    binio::Decoder calib(reader.section(kSecCalibration));
-    const std::uint64_t count = calib.u64();
-    if (!calib.fits(count, 8)) {
-      rollback();
-      return make_error("snapshot: " + calib.error());
-    }
-    for (std::uint64_t i = 0; i < count; ++i) {
-      std::string name = calib.str();
-      const std::uint64_t fingerprint = calib.u64();
-      auto db = cost::DeviceCostDb::load(calib);
-      if (!db.ok()) {
-        rollback();
-        return db.diag();
-      }
-      if (!calib.ok()) {
-        rollback();
-        return make_error("snapshot: " + calib.error());
-      }
-      restored_.insert_or_assign(
-          std::move(name),
-          RestoredCalibration{fingerprint, std::move(db).take()});
-      ++stats.calibrations;
-    }
-    if (!calib.at_end()) {
-      rollback();
-      return make_error("snapshot: " + calib.error());
-    }
-  }
+  const auto failed = decode_calibrations(
+      reader, [&](std::string name, std::uint64_t fingerprint,
+                  cost::DeviceCostDb db) {
+        restored_.insert_or_assign(
+            std::move(name), RestoredCalibration{fingerprint, std::move(db)});
+        ++stats.calibrations;
+      });
+  if (failed) return rollback(*failed);
   return stats;
 }
 
@@ -731,26 +733,14 @@ Result<std::uint64_t> Session::save_snapshot(const std::string& path) {
 }
 
 Result<SnapshotSummary> verify_snapshot(const std::string& path) {
-  auto opened = binio::Reader::open(path);
+  auto opened = open_snapshot(path);
   if (!opened.ok()) return opened.diag();
   const binio::Reader reader = std::move(opened).take();
 
   SnapshotSummary out;
   out.format_version = reader.format_version();
+  out.payload_version = kSnapshotPayloadVersion;
   out.file_bytes = reader.file_size();
-
-  if (!reader.has_section(kSecMeta)) {
-    return make_error("snapshot: missing meta section");
-  }
-  binio::Decoder meta(reader.section(kSecMeta));
-  out.payload_version = meta.u32();
-  if (meta.ok() && out.payload_version != kSnapshotPayloadVersion) {
-    return make_error("snapshot: payload version " +
-                      std::to_string(out.payload_version) +
-                      " unsupported (this build reads " +
-                      std::to_string(kSnapshotPayloadVersion) + ")");
-  }
-  if (!meta.at_end()) return make_error("snapshot: " + meta.error());
 
   // Decode every cache entry through a scratch cache — the exact walk a
   // warm start performs, so "verify passed" means "a load would succeed".
@@ -762,20 +752,12 @@ Result<SnapshotSummary> verify_snapshot(const std::string& path) {
   out.structural_entries = counts.value().structural;
   out.variant_entries = counts.value().variant;
 
-  if (reader.has_section(kSecCalibration)) {
-    binio::Decoder calib(reader.section(kSecCalibration));
-    const std::uint64_t count = calib.u64();
-    if (!calib.fits(count, 8)) return make_error("snapshot: " + calib.error());
-    for (std::uint64_t i = 0; i < count; ++i) {
-      std::string name = calib.str();
-      const std::uint64_t fingerprint = calib.u64();
-      auto db = cost::DeviceCostDb::load(calib);
-      if (!db.ok()) return db.diag();
-      if (!calib.ok()) return make_error("snapshot: " + calib.error());
-      out.calibrations.emplace_back(std::move(name), fingerprint);
-    }
-    if (!calib.at_end()) return make_error("snapshot: " + calib.error());
-  }
+  const auto failed = decode_calibrations(
+      reader, [&](std::string name, std::uint64_t fingerprint,
+                  cost::DeviceCostDb /*db*/) {
+        out.calibrations.emplace_back(std::move(name), fingerprint);
+      });
+  if (failed) return *failed;
   return out;
 }
 
@@ -840,94 +822,30 @@ ThreadPool* Session::pool_for(std::uint32_t participants) {
   return pool_.get();
 }
 
-DseResult Session::explore(const Job& job, CostCache* cache_override) {
-  const ResolvedJob r = resolve(job);
-  const auto t0 = std::chrono::steady_clock::now();
-  DseResult result;
-  std::vector<frontend::Variant> variants =
-      frontend::enumerate_variants(r.n, r.max_lanes, job.include_seq);
+struct Session::Batch {
+  std::chrono::steady_clock::time_point t0;
+  /// Per-job results in input order; a non-ok job presents no entries.
+  std::vector<CampaignJobResult> jobs;
+  /// Each job's first failing evaluation, for explore()'s rethrow.
+  std::vector<std::exception_ptr> errors;
+};
 
-  std::vector<std::optional<cost::CostReport>> slots(variants.size());
-  std::vector<CostCache::HitLevel> levels(variants.size(),
-                                          CostCache::HitLevel::Miss);
-  std::vector<EvalTask> tasks;
-  tasks.reserve(variants.size());
-  for (std::size_t i = 0; i < variants.size(); ++i) {
-    tasks.push_back(EvalTask{&variants[i], r.lower, r.db, i, 0});
-  }
-  CostCache* cache = effective_cache(cache_override);
-  const std::uint32_t participants =
-      resolve_threads(options_.num_threads, variants.size());
-  EvalContext ctx(1, options_.cancel, t0);
-  ctx.deadline[0] = job.deadline_seconds > 0 ? job.deadline_seconds
-                                             : options_.deadline_seconds;
-  ctx.any_deadline = ctx.deadline[0] > 0;
-  ctx.job_cancel[0] = job.cancel;
-  ctx.any_job_cancel = job.cancel != nullptr;
-  evaluate_tasks(tasks, cache, pool_for(participants), participants,
-                 arenas(participants), slots, levels, ctx);
-  // Single-job semantics: a contained failure surfaces as the original
-  // exception (so callers and the legacy shims see exactly what the
-  // evaluation threw), an expiry/cancel as its typed error.
-  const JobStatus status = finalize_status(ctx, 0, slots, 0, slots.size());
-  if (status.state == JobState::Failed) {
-    std::rethrow_exception(ctx.records[0].error);
-  }
-  if (status.state == JobState::TimedOut) {
-    throw DeadlineExceeded(ctx.deadline[0]);
-  }
-  if (status.state == JobState::Cancelled) throw CancelledError();
-  if (cache) {
-    accumulate_stats(result.cache_stats, levels, slots, 0, levels.size());
-  }
-  merge_sweep(result, variants, slots, 0);
-  result.explore_seconds = seconds_since(t0);
-  return result;
-}
-
-TuneResult Session::tune(const Job& job, CostCache* cache_override) {
-  const ResolvedJob r = resolve(job);
-  const double deadline = job.deadline_seconds > 0 ? job.deadline_seconds
-                                                   : options_.deadline_seconds;
-  return run_tune(r.n, *r.lower, *r.db, job.max_steps, r.max_lanes,
-                  effective_cache(cache_override), arenas(1)[0],
-                  options_.cancel, job.cancel, deadline,
-                  std::chrono::steady_clock::now());
-}
-
-cost::CostReport Session::baseline(const Job& job, CostCache* cache_override) {
-  const ResolvedJob r = resolve(job);
-  if (options_.cancel != nullptr && options_.cancel->cancelled()) {
-    throw CancelledError();
-  }
-  if (job.cancel != nullptr && job.cancel->cancelled()) throw CancelledError();
-  const frontend::Variant variant = frontend::baseline_variant(r.n);
-  CostCache* cache = effective_cache(cache_override);
-  ir::BuildArena& arena = arenas(1)[0];
-  if (cache) return cache->cost(variant, *r.lower, *r.db, nullptr, &arena);
-  ir::Module module = r.lower->lower(variant, &arena);
-  cost::CostReport report = cost::cost_design(module, *r.db);
-  arena.recycle(std::move(module));
-  return report;
-}
-
-CampaignResult Session::run(const Campaign& campaign,
-                            CostCache* cache_override) {
-  const auto t0 = std::chrono::steady_clock::now();
-  CampaignResult out;
-  CostCache* cache = effective_cache(cache_override);
+Session::Batch Session::evaluate(std::span<const Job> jobs) {
+  Batch batch;
+  batch.t0 = std::chrono::steady_clock::now();
+  CostCache* cache = cache_.get();
 
   // Validate and enumerate every job before evaluating anything: a bad
-  // job fails the campaign up front instead of after most of the work.
+  // job fails the batch up front instead of after most of the work.
   std::vector<ResolvedJob> resolved;
-  resolved.reserve(campaign.jobs.size());
+  resolved.reserve(jobs.size());
   std::vector<std::vector<frontend::Variant>> variants;
-  variants.reserve(campaign.jobs.size());
-  std::vector<std::size_t> offset(campaign.jobs.size() + 1, 0);
-  for (std::size_t j = 0; j < campaign.jobs.size(); ++j) {
-    resolved.push_back(resolve(campaign.jobs[j]));
+  variants.reserve(jobs.size());
+  std::vector<std::size_t> offset(jobs.size() + 1, 0);
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    resolved.push_back(resolve(jobs[j]));
     variants.push_back(frontend::enumerate_variants(
-        resolved[j].n, resolved[j].max_lanes, campaign.jobs[j].include_seq));
+        resolved[j].n, resolved[j].max_lanes, jobs[j].include_seq));
     offset[j + 1] = offset[j] + variants[j].size();
   }
   const std::size_t total = offset.back();
@@ -943,7 +861,8 @@ CampaignResult Session::run(const Campaign& campaign,
   // old job-after-job loop produced, which keeps per-job cache stats
   // (and therefore campaign text output) byte-identical across thread
   // counts. Key-less lowerers cannot be deduplicated before lowering
-  // and stay in wave 1.
+  // and stay in wave 1, as does every variant of a one-job batch (a
+  // sweep enumerates distinct lane counts).
   std::vector<std::optional<cost::CostReport>> slots(total);
   std::vector<CostCache::HitLevel> levels(total, CostCache::HitLevel::Miss);
   std::vector<EvalTask> wave1;
@@ -956,7 +875,7 @@ CampaignResult Session::run(const Campaign& campaign,
       const EvalTask task{&variants[j][i], resolved[j].lower, resolved[j].db,
                           offset[j] + i, j};
       bool repeat = false;
-      if (cache) {
+      if (cache && jobs.size() > 1) {
         if (const auto vk = resolved[j].lower->key(variants[j][i])) {
           // Jobs naming the same device-table entry share a DeviceCostDb
           // address, so (database, variant key) identifies the design; a
@@ -968,13 +887,11 @@ CampaignResult Session::run(const Campaign& campaign,
       (repeat ? wave2 : wave1).push_back(task);
     }
   }
-  EvalContext ctx(campaign.jobs.size(), options_.cancel, t0);
-  for (std::size_t j = 0; j < campaign.jobs.size(); ++j) {
-    ctx.deadline[j] = campaign.jobs[j].deadline_seconds > 0
-                          ? campaign.jobs[j].deadline_seconds
-                          : options_.deadline_seconds;
+  EvalContext ctx(jobs.size(), options_.cancel, batch.t0);
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    ctx.deadline[j] = deadline_of(jobs[j]);
     if (ctx.deadline[j] > 0) ctx.any_deadline = true;
-    ctx.job_cancel[j] = campaign.jobs[j].cancel;
+    ctx.job_cancel[j] = jobs[j].cancel;
     if (ctx.job_cancel[j] != nullptr) ctx.any_job_cancel = true;
   }
   for (const std::vector<EvalTask>* wave : {&wave1, &wave2}) {
@@ -985,33 +902,73 @@ CampaignResult Session::run(const Campaign& campaign,
     evaluate_tasks(*wave, cache, pool_for(participants), participants,
                    arenas(participants), slots, levels, ctx);
   }
-  const double eval_seconds = seconds_since(t0);
+  const double eval_seconds = seconds_since(batch.t0);
 
   // Per-job merge, stats, best and frontier in enumeration order —
   // byte-identical to running the jobs one at a time. A non-ok job
   // keeps its status (and cache stats for whatever it did evaluate) but
   // presents no entries: a partial sweep is not a result.
-  out.jobs.reserve(campaign.jobs.size());
-  for (std::size_t j = 0; j < campaign.jobs.size(); ++j) {
+  batch.jobs.reserve(jobs.size());
+  batch.errors.reserve(jobs.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
     CampaignJobResult jr;
-    jr.job = campaign.jobs[j];
+    jr.job = jobs[j];
     jr.status = finalize_status(ctx, j, slots, offset[j], offset[j + 1]);
-    DseResult r;
     if (cache) {
-      accumulate_stats(r.cache_stats, levels, slots, offset[j],
+      accumulate_stats(jr.result.cache_stats, levels, slots, offset[j],
                        offset[j + 1]);
-      out.cache_stats.hits += r.cache_stats.hits;
-      out.cache_stats.misses += r.cache_stats.misses;
-      out.cache_stats.variant_hits += r.cache_stats.variant_hits;
     }
-    if (jr.status.ok()) merge_sweep(r, variants[j], slots, offset[j]);
+    if (jr.status.ok()) merge_sweep(jr.result, variants[j], slots, offset[j]);
     // Jobs were evaluated as one flattened batch; each reports the
-    // campaign's shared evaluation wall clock (see CampaignResult docs).
-    r.explore_seconds = eval_seconds;
-    jr.result = std::move(r);
-    out.jobs.push_back(std::move(jr));
+    // batch's shared evaluation wall clock (see CampaignResult docs).
+    jr.result.explore_seconds = eval_seconds;
+    batch.jobs.push_back(std::move(jr));
+    batch.errors.push_back(ctx.records[j].error);
   }
+  return batch;
+}
 
+DseResult Session::explore(const Job& job) {
+  Batch batch = evaluate(std::span<const Job>(&job, 1));
+  CampaignJobResult& jr = batch.jobs.front();
+  // Single-job semantics: a contained failure surfaces as the original
+  // exception (so callers see exactly what the evaluation threw), an
+  // expiry/cancel as its typed error.
+  switch (jr.status.state) {
+    case JobState::Failed: std::rethrow_exception(batch.errors.front());
+    case JobState::TimedOut: throw DeadlineExceeded(deadline_of(job));
+    case JobState::Cancelled: throw CancelledError();
+    case JobState::Ok: break;
+  }
+  jr.result.explore_seconds = seconds_since(batch.t0);
+  return std::move(jr.result);
+}
+
+TuneResult Session::tune(const Job& job) {
+  const ResolvedJob r = resolve(job);
+  return run_tune(r.n, *r.lower, *r.db, job.max_steps, r.max_lanes,
+                  cache_.get(), arenas(1)[0], options_.cancel, job.cancel,
+                  deadline_of(job), std::chrono::steady_clock::now());
+}
+
+cost::CostReport Session::baseline(const Job& job) {
+  // A one-lane sweep enumerates exactly the baseline variant.
+  Job single = job;
+  single.max_lanes = 1;
+  single.include_seq = false;
+  return std::move(explore(single).entries.front().report);
+}
+
+CampaignResult Session::run(const Campaign& campaign) {
+  Batch batch = evaluate(campaign.jobs);
+  CampaignResult out = merge_campaign(std::move(batch.jobs));
+  out.campaign_seconds = seconds_since(batch.t0);
+  return out;
+}
+
+CampaignResult merge_campaign(std::vector<CampaignJobResult> jobs) {
+  CampaignResult out;
+  out.jobs = std::move(jobs);
   // Merged frontier over every job's per-sweep frontier. Restricting the
   // candidates to per-job frontiers is lossless: a point dominated within
   // its own sweep is dominated by one of that sweep's frontier points
@@ -1019,7 +976,11 @@ CampaignResult Session::run(const Campaign& campaign,
   std::vector<ParetoPoint> candidates;
   std::vector<CampaignParetoPoint> mapping;
   for (std::size_t j = 0; j < out.jobs.size(); ++j) {
-    for (const ParetoPoint& p : out.jobs[j].result.pareto) {
+    const DseResult& r = out.jobs[j].result;
+    out.cache_stats.hits += r.cache_stats.hits;
+    out.cache_stats.misses += r.cache_stats.misses;
+    out.cache_stats.variant_hits += r.cache_stats.variant_hits;
+    for (const ParetoPoint& p : r.pareto) {
       candidates.push_back(p);
       mapping.push_back(CampaignParetoPoint{j, p});
     }
@@ -1028,49 +989,8 @@ CampaignResult Session::run(const Campaign& campaign,
   for (std::size_t i = 0; i < mapping.size(); ++i) {
     if (keep[i]) out.pareto.push_back(mapping[i]);
   }
-
-  out.campaign_seconds = seconds_since(t0);
   return out;
 }
-
-// ---------------------------------------------------------------------------
-// Internal engine entry points for the legacy shims (explorer.cpp /
-// tuner.cpp). Declared in those files, not in any public header.
-// ---------------------------------------------------------------------------
-
-namespace detail {
-
-Job borrow_job(std::uint64_t n, const Lowerer& lower,
-               const cost::DeviceCostDb& db) {
-  Job job;
-  job.n = n;
-  // Aliasing constructor: the shim borrows the caller's lowerer for the
-  // duration of the call without taking ownership.
-  job.lower = std::shared_ptr<const Lowerer>(std::shared_ptr<void>{}, &lower);
-  job.db = &db;
-  return job;
-}
-
-Session shim_session(std::uint32_t num_threads) {
-  SessionOptions so;
-  so.num_threads = num_threads;
-  // Legacy semantics: the caller controls caching entirely through
-  // DseOptions::cache / the tune cache parameter; the temporary session
-  // owns none.
-  so.enable_cache = false;
-  // Legacy tune never took a lane cap — its walk was bounded only by the
-  // historical `next > 1024` guard. The shim pins that cap so the free
-  // functions stop at the same step; Session callers get the real
-  // resolved cap. (explore is unaffected: its shim sets Job::max_lanes
-  // from DseOptions explicitly.) One deliberate wording change: a walk
-  // that actually reaches 1024 lanes now stops with the accurate "lane
-  // cap reached" verdict instead of the old, false "no further lane
-  // count divides the NDRange" — same step count, better diagnosis.
-  so.max_lanes = 1024;
-  return Session(so);
-}
-
-}  // namespace detail
 
 // ---------------------------------------------------------------------------
 // Campaign rendering
@@ -1088,42 +1008,6 @@ std::string device_label(const Job& job) {
   return "<default>";
 }
 
-/// JSON number: round-trip precision; non-finite values (which JSON
-/// cannot carry) become null. Restores the caller's actual precision —
-/// not a hard-coded default — so a caller that configured its stream
-/// keeps its formatting after the call.
-void json_num(std::ostream& os, double v) {
-  if (!std::isfinite(v)) {
-    os << "null";
-    return;
-  }
-  const std::streamsize saved = os.precision(17);
-  os << v;
-  os.precision(saved);
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void json_cache_stats(std::ostream& os, const CacheStats& s) {
   os << "{\"hits\": " << s.hits << ", \"misses\": " << s.misses
      << ", \"variant_hits\": " << s.variant_hits << "}";
@@ -1133,31 +1017,33 @@ void json_entry(std::ostream& os, const DseEntry& e) {
   const auto& u = e.report.resources.util;
   os << "{\"lanes\": " << e.report.params.knl << ", \"valid\": "
      << (e.report.valid ? "true" : "false") << ", \"ekit\": ";
-  json_num(os, e.report.throughput.ekit);
+  json::write_number(os, e.report.throughput.ekit);
   os << ", \"limiting\": \""
-     << json_escape(cost::wall_name(e.report.throughput.limiting))
+     << json::escape(cost::wall_name(e.report.throughput.limiting))
      << "\", \"util\": {\"regs\": ";
-  json_num(os, u.regs);
+  json::write_number(os, u.regs);
   os << ", \"aluts\": ";
-  json_num(os, u.aluts);
+  json::write_number(os, u.aluts);
   os << ", \"bram\": ";
-  json_num(os, u.bram);
+  json::write_number(os, u.bram);
   os << ", \"dsps\": ";
-  json_num(os, u.dsps);
+  json::write_number(os, u.dsps);
   os << "}, \"bw_share\": ";
-  json_num(os, bandwidth_share(e.report));
+  json::write_number(os, bandwidth_share(e.report));
   os << "}";
 }
 
+/// A frontier point's fields and the closing brace; the caller opens the
+/// object (the campaign view prefixes its own fields).
 void json_pareto_point(std::ostream& os, const ParetoPoint& p,
                        const DseEntry& e) {
-  os << "{\"index\": " << p.index << ", \"lanes\": " << e.report.params.knl
+  os << "\"index\": " << p.index << ", \"lanes\": " << e.report.params.knl
      << ", \"ekit\": ";
-  json_num(os, p.ekit);
+  json::write_number(os, p.ekit);
   os << ", \"util_max\": ";
-  json_num(os, p.util_max);
+  json::write_number(os, p.util_max);
   os << ", \"bw_share\": ";
-  json_num(os, p.bw_share);
+  json::write_number(os, p.bw_share);
   os << "}";
 }
 
@@ -1165,7 +1051,7 @@ void json_sweep(std::ostream& os, const DseResult& r,
                 std::string_view indent) {
   os << "{\n" << indent << "  \"variants\": " << r.entries.size() << ",\n"
      << indent << "  \"explore_seconds\": ";
-  json_num(os, r.explore_seconds);
+  json::write_number(os, r.explore_seconds);
   os << ",\n" << indent << "  \"cache\": ";
   json_cache_stats(os, r.cache_stats);
   os << ",\n" << indent << "  \"best\": ";
@@ -1181,7 +1067,7 @@ void json_sweep(std::ostream& os, const DseResult& r,
   }
   os << "\n" << indent << "  ],\n" << indent << "  \"pareto\": [";
   for (std::size_t i = 0; i < r.pareto.size(); ++i) {
-    os << (i ? ",\n" : "\n") << indent << "    ";
+    os << (i ? ",\n" : "\n") << indent << "    {";
     json_pareto_point(os, r.pareto[i], r.entries[r.pareto[i].index]);
   }
   os << "\n" << indent << "  ]\n" << indent << "}";
@@ -1280,10 +1166,10 @@ std::string format_tune_json(const TuneResult& result) {
     os << (i ? ",\n" : "\n") << "    {\"step\": " << i << ", \"lanes\": "
        << s.report.params.knl << ", \"valid\": "
        << (s.report.valid ? "true" : "false") << ", \"ekit\": ";
-    json_num(os, s.report.throughput.ekit);
+    json::write_number(os, s.report.throughput.ekit);
     os << ", \"limiting\": \""
-       << json_escape(cost::wall_name(s.report.throughput.limiting))
-       << "\", \"action\": \"" << json_escape(s.action) << "\"}";
+       << json::escape(cost::wall_name(s.report.throughput.limiting))
+       << "\", \"action\": \"" << json::escape(s.action) << "\"}";
   }
   os << "\n  ],\n  \"best\": ";
   if (result.best) {
@@ -1294,7 +1180,7 @@ std::string format_tune_json(const TuneResult& result) {
     // invalid design as best.
     os << "null";
   }
-  os << ",\n  \"verdict\": \"" << json_escape(result.verdict) << "\"\n}\n";
+  os << ",\n  \"verdict\": \"" << json::escape(result.verdict) << "\"\n}\n";
   return os.str();
 }
 
@@ -1304,12 +1190,12 @@ std::string format_campaign_json(const CampaignResult& result) {
   for (std::size_t j = 0; j < result.jobs.size(); ++j) {
     const auto& jr = result.jobs[j];
     os << (j ? ",\n" : "\n") << "      {\"workload\": \""
-       << json_escape(job_label(jr.job)) << "\", \"nd\": " << jr.job.nd
+       << json::escape(job_label(jr.job)) << "\", \"nd\": " << jr.job.nd
        << ", \"n\": " << jr.job.n << ", \"device\": \""
-       << json_escape(device_label(jr.job)) << "\", \"status\": \""
+       << json::escape(device_label(jr.job)) << "\", \"status\": \""
        << job_state_name(jr.status.state) << "\"";
     if (!jr.status.ok()) {
-      os << ", \"error\": \"" << json_escape(jr.status.error)
+      os << ", \"error\": \"" << json::escape(jr.status.error)
          << "\", \"evaluated\": " << jr.status.evaluated
          << ", \"faults\": " << jr.status.faults
          << ", \"skipped\": " << jr.status.skipped;
@@ -1323,20 +1209,16 @@ std::string format_campaign_json(const CampaignResult& result) {
     const auto& p = result.pareto[i];
     const auto& jr = result.jobs[p.job];
     os << (i ? ",\n" : "\n") << "      {\"job\": " << p.job
-       << ", \"workload\": \"" << json_escape(job_label(jr.job))
-       << "\", \"device\": \"" << json_escape(device_label(jr.job))
+       << ", \"workload\": \"" << json::escape(job_label(jr.job))
+       << "\", \"device\": \"" << json::escape(device_label(jr.job))
        << "\", ";
-    // Reuse the per-sweep point shape for the point fields.
-    std::ostringstream point;
-    json_pareto_point(point, p.point, result.entry(p));
-    const std::string text = point.str();
-    os << text.substr(1);  // drop the '{' — fields merge into this object
+    json_pareto_point(os, p.point, result.entry(p));
   }
   os << "\n    ],\n    \"cache\": ";
   json_cache_stats(os, result.cache_stats);
   os << ",\n    \"degraded\": " << result.degraded();
   os << ",\n    \"seconds\": ";
-  json_num(os, result.campaign_seconds);
+  json::write_number(os, result.campaign_seconds);
   os << "\n  }\n}\n";
   return os.str();
 }

@@ -2,33 +2,7 @@
 
 #include <sstream>
 
-#include "tytra/dse/session.hpp"
-
-// The feedback-path walk itself lives in session.cpp (Session::tune is
-// the engine); this file keeps the legacy free-function shims and the
-// trajectory renderer.
-
 namespace tytra::dse {
-
-namespace detail {
-// Shim plumbing shared with explorer.cpp; defined in session.cpp.
-Job borrow_job(std::uint64_t n, const Lowerer& lower,
-               const cost::DeviceCostDb& db);
-Session shim_session(std::uint32_t num_threads);
-}  // namespace detail
-
-TuneResult tune(std::uint64_t n, const Lowerer& lower,
-                const cost::DeviceCostDb& db, int max_steps, CostCache* cache) {
-  Session session = detail::shim_session(1);
-  Job job = detail::borrow_job(n, lower, db);
-  job.max_steps = max_steps;
-  return session.tune(job, cache);
-}
-
-TuneResult tune(std::uint64_t n, const LowerFn& lower,
-                const cost::DeviceCostDb& db, int max_steps, CostCache* cache) {
-  return tune(n, FnLowerer(lower), db, max_steps, cache);
-}
 
 std::string format_tune(const TuneResult& result) {
   std::ostringstream os;

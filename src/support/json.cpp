@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <ostream>
 #include <utility>
 
 namespace tytra::json {
@@ -344,6 +345,16 @@ std::string escape(std::string_view s) {
     }
   }
   return out;
+}
+
+void write_number(std::ostream& os, double v) {
+  if (!std::isfinite(v)) {
+    os << "null";
+    return;
+  }
+  const std::streamsize saved = os.precision(17);
+  os << v;
+  os.precision(saved);
 }
 
 }  // namespace tytra::json

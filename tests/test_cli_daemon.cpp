@@ -22,6 +22,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -97,12 +98,6 @@ std::string scrub_key(std::string text, const std::string& key) {
 
 std::string scrub_times(std::string text) {
   return scrub_key(scrub_key(std::move(text), "explore_seconds"), "seconds");
-}
-
-/// Drops the first line (the banner carries wall-clock timings).
-std::string strip_banner(const std::string& text) {
-  const auto nl = text.find('\n');
-  return nl == std::string::npos ? std::string() : text.substr(nl + 1);
 }
 
 /// One tytra-dsed process: fork/exec with stderr to a log file, a
@@ -227,108 +222,72 @@ TEST(CliDaemon, PingWithoutDaemonFailsWithDiagnostic) {
   EXPECT_NE(r.err.find("is tytra-dsed running?"), std::string::npos) << r.err;
 }
 
-TEST(CliDaemon, ListJsonIsByteIdenticalToStandalone) {
-  Daemon d;
-  ASSERT_TRUE(d.wait_ready()) << d.log();
-  const RunResult standalone = run_cc("list --json");
-  const RunResult via = run_cc("list --json --server " + d.socket);
-  EXPECT_EQ(standalone.exit_code, 0);
-  EXPECT_EQ(via.exit_code, 0) << via.err;
-  EXPECT_EQ(via.out, standalone.out);
-
-  // With a shipped .tir workload registered daemon-side under its path.
-  const RunResult standalone_ir =
-      run_cc("list --json --ir " + sor_tir_path());
-  const RunResult via_ir =
-      run_cc("list --json --ir " + sor_tir_path() + " --server " + d.socket);
-  EXPECT_EQ(via_ir.exit_code, 0) << via_ir.err;
-  EXPECT_EQ(via_ir.out, standalone_ir.out);
+/// The only bytes allowed to differ between two runs are wall clocks: the
+/// JSON "seconds"/"explore_seconds" values and the text banners' "in X s".
+std::string scrub_wall_times(const std::string& text) {
+  static const std::regex banner(" in [0-9]+\\.[0-9]+ s\n");
+  return std::regex_replace(scrub_times(text), banner, " in 0 s\n");
 }
 
-// The identity baseline for explore/tune: a standalone run with a fresh
-// --snapshot is cache-ENABLED from empty — exactly the fresh daemon's
-// state (standalone without --snapshot runs cache-less and prints
-// different cache stats by design).
-TEST(CliDaemon, ExploreJsonIsByteIdenticalToStandalone) {
-  Daemon d;
-  ASSERT_TRUE(d.wait_ready()) << d.log();
-  TempSnap snap("cli_daemon_explore");
-  const RunResult standalone =
-      run_cc("explore sor --nd 8 --json --snapshot " + snap.path);
-  const RunResult via =
-      run_cc("explore sor --nd 8 --json --server " + d.socket);
-  EXPECT_EQ(standalone.exit_code, 0) << standalone.err;
-  EXPECT_EQ(via.exit_code, 0) << via.err;
-  EXPECT_EQ(scrub_times(via.out), scrub_times(standalone.out));
-}
+struct IdentityCase {
+  std::string args;
+  /// explore/tune: the standalone side runs cache-enabled from a fresh
+  /// --snapshot — exactly the fresh daemon's state (standalone without
+  /// --snapshot runs cache-less and prints different cache stats by
+  /// design). Campaigns always run cache-enabled standalone.
+  bool snapshot;
+};
 
-TEST(CliDaemon, ExploreTextIsByteIdenticalToStandalone) {
-  Daemon d;
-  ASSERT_TRUE(d.wait_ready()) << d.log();
-  TempSnap snap("cli_daemon_text");
-  const RunResult standalone =
-      run_cc("explore sor --nd 8 --pareto --snapshot " + snap.path);
-  const RunResult via =
-      run_cc("explore sor --nd 8 --pareto --server " + d.socket);
-  EXPECT_EQ(standalone.exit_code, 0) << standalone.err;
-  EXPECT_EQ(via.exit_code, 0) << via.err;
-  EXPECT_EQ(strip_banner(via.out), strip_banner(standalone.out));
-}
+// One table for the CLI/daemon byte-identity contract: every verb x text/
+// --json x --pareto, .tir shipping, and the error paths. Each row runs
+// against a fresh daemon, so no row warms another's cache.
+TEST(CliDaemon, EveryVerbIsByteIdenticalToStandalone) {
+  const std::string ir = sor_tir_path();
+  std::vector<IdentityCase> cases;
+  for (const std::string format : {"", " --json"}) {
+    for (const std::string pareto : {"", " --pareto"}) {
+      cases.push_back({"explore sor --nd 8" + format + pareto, true});
+      cases.push_back({"tune sor --nd 8" + format + pareto, true});
+      cases.push_back({"campaign --kernel sor --kernel hotspot --ir " + ir +
+                           " --nd 8" + format + pareto,
+                       false});
+    }
+    cases.push_back({"list" + format, false});
+    cases.push_back({"list --ir " + ir + format, false});
+    cases.push_back({"lint sor lavamd" + format, false});
+    cases.push_back({"lint --ir " + ir + format, false});
+  }
+  cases.push_back({"lint lavamd --fail-on warning", false});
+  for (const std::string verb : {"explore", "tune"}) {
+    cases.push_back({verb + " nope --json", true});
+    cases.push_back({verb + " sor --device nosuchboard", true});
+    cases.push_back({verb + " sor --max-lanes 0", true});
+    cases.push_back({verb + " sor --nd 0", true});
+  }
+  cases.push_back({"campaign --kernel nope", false});
+  cases.push_back({"campaign --device nosuchboard", false});
+  cases.push_back({"campaign --max-lanes 0", false});
+  cases.push_back({"campaign --kernel sor --nd 0", false});
+  cases.push_back({"lint nope", false});
 
-TEST(CliDaemon, TuneJsonIsByteIdenticalToStandalone) {
-  Daemon d;
-  ASSERT_TRUE(d.wait_ready()) << d.log();
-  TempSnap snap("cli_daemon_tune");
-  const RunResult standalone =
-      run_cc("tune sor --nd 8 --json --snapshot " + snap.path);
-  const RunResult via = run_cc("tune sor --nd 8 --json --server " + d.socket);
-  EXPECT_EQ(standalone.exit_code, 0) << standalone.err;
-  EXPECT_EQ(via.exit_code, 0) << via.err;
-  EXPECT_EQ(scrub_times(via.out), scrub_times(standalone.out));
-}
-
-// Campaigns always run cache-enabled standalone, so a fresh daemon needs
-// no snapshot baseline; --ir rides along to prove source shipping.
-TEST(CliDaemon, CampaignWithIrIsByteIdenticalToStandalone) {
-  Daemon d;
-  ASSERT_TRUE(d.wait_ready()) << d.log();
-  const std::string args =
-      "campaign --kernel sor --kernel hotspot --ir " + sor_tir_path() +
-      " --nd 8 --json";
-  const RunResult standalone = run_cc(args);
-  const RunResult via = run_cc(args + " --server " + d.socket);
-  EXPECT_EQ(standalone.exit_code, 0) << standalone.err;
-  EXPECT_EQ(via.exit_code, 0) << via.err;
-  EXPECT_EQ(scrub_times(via.out), scrub_times(standalone.out));
-}
-
-TEST(CliDaemon, LintIsByteIdenticalToStandalone) {
-  Daemon d;
-  ASSERT_TRUE(d.wait_ready()) << d.log();
-  for (const std::string& args :
-       {std::string("lint sor lavamd"),
-        "lint --ir " + sor_tir_path() + " --json",
-        std::string("lint lavamd --fail-on warning")}) {
-    const RunResult standalone = run_cc(args);
-    const RunResult via = run_cc(args + " --server " + d.socket);
-    EXPECT_EQ(via.exit_code, standalone.exit_code) << args;
-    EXPECT_EQ(via.out, standalone.out) << args;
-    EXPECT_EQ(via.err, standalone.err) << args;
+  for (const IdentityCase& c : cases) {
+    Daemon d;
+    ASSERT_TRUE(d.wait_ready()) << d.log();
+    TempSnap snap("cli_daemon_identity");
+    const RunResult standalone =
+        run_cc(c.args + (c.snapshot ? " --snapshot " + snap.path : ""));
+    const RunResult via = run_cc(c.args + " --server " + d.socket);
+    EXPECT_EQ(via.exit_code, standalone.exit_code) << c.args;
+    EXPECT_EQ(scrub_wall_times(via.out), scrub_wall_times(standalone.out))
+        << c.args;
+    EXPECT_EQ(via.err, standalone.err) << c.args;
   }
 }
 
-TEST(CliDaemon, ErrorBytesMatchStandalone) {
-  Daemon d;
-  ASSERT_TRUE(d.wait_ready()) << d.log();
-  const RunResult standalone = run_cc("explore nope --json");
-  const RunResult via = run_cc("explore nope --json --server " + d.socket);
-  EXPECT_EQ(via.exit_code, standalone.exit_code);
-  EXPECT_EQ(via.err, standalone.err);
-  EXPECT_EQ(via.out, standalone.out);
-
+TEST(CliDaemon, SnapshotAndServerDoNotCombine) {
   // --snapshot and --server cannot combine: the daemon owns the snapshot.
   const RunResult conflict =
-      run_cc("explore sor --snapshot x.snap --server " + d.socket);
+      run_cc("explore sor --snapshot x.snap --server /tmp/unused.sock");
   EXPECT_EQ(conflict.exit_code, 2);
   EXPECT_NE(conflict.err.find("the daemon owns the snapshot"),
             std::string::npos)

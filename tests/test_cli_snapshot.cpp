@@ -308,6 +308,14 @@ TEST(CliSnapshot, MalformedInvocationsFailWithOneLineAndNoStdout) {
                        "--kernel only applies to campaign");
   expect_clean_failure("explore no-such-kernel", "unknown kernel");
   expect_clean_failure("frobnicate", "explore|tune|campaign|cache|list");
+  // The diagnostic names every subcommand main dispatches on.
+  expect_clean_failure(
+      "frobnicate", "subcommands are explore|tune|campaign|cache|list|lint|"
+                    "ping|shutdown)");
+  // The retired --explore spelling is an unknown flag now.
+  expect_clean_failure("--explore sor", "unknown or incomplete flag "
+                                        "'--explore'");
+  EXPECT_EQ(run_cc("--explore sor").exit_code, 2);
   expect_clean_failure("cache", "cache needs an action");
   expect_clean_failure("cache frobnicate x", "unknown cache action");
   expect_clean_failure("cache verify", "needs a snapshot file");

@@ -4,13 +4,14 @@
 
 #include <gtest/gtest.h>
 
-#include "tytra/dse/explorer.hpp"
+#include <memory>
+
+#include "tytra/dse/session.hpp"
 #include "tytra/kernels/kernels.hpp"
 
 namespace {
 
 using namespace tytra;
-using dse::DseOptions;
 using dse::DseResult;
 
 constexpr std::uint32_t kDim = 24;  // 13824 work-items (the Fig. 15 grid)
@@ -31,11 +32,22 @@ const cost::DeviceCostDb& fig15_db() {
   return db;
 }
 
+dse::Job sor_job(ir::ExecForm form) {
+  dse::Job job;
+  job.n = kDim * kDim * kDim;
+  job.lower = std::make_shared<dse::FnLowerer>(sor_lower(form));
+  job.db = &fig15_db();
+  return job;
+}
+
+/// The lane-16 sweep of the SOR grid on the fig15 profile.
+DseResult sweep(ir::ExecForm form) {
+  dse::Session session;
+  return session.explore(sor_job(form));
+}
+
 TEST(Dse, ExploresAllLaneCounts) {
-  DseOptions opt;
-  opt.max_lanes = 16;
-  const DseResult r =
-      dse::explore(kDim * kDim * kDim, sor_lower(ir::ExecForm::B), fig15_db(), opt);
+  const DseResult r = sweep(ir::ExecForm::B);
   // 13824 work-items: divisors 1,2,3,4,6,8,9,12,16 within the cap.
   ASSERT_EQ(r.entries.size(), 9u);
   EXPECT_EQ(r.entries.front().report.params.knl, 1u);
@@ -43,8 +55,7 @@ TEST(Dse, ExploresAllLaneCounts) {
 }
 
 TEST(Dse, InvalidVariantsAreFilteredFromBest) {
-  const DseResult r = dse::explore(kDim * kDim * kDim,
-                                   sor_lower(ir::ExecForm::B), fig15_db(), {});
+  const DseResult r = sweep(ir::ExecForm::B);
   ASSERT_TRUE(r.best.has_value());
   const auto& best = r.entries[*r.best];
   EXPECT_TRUE(best.report.valid);
@@ -59,10 +70,9 @@ TEST(Dse, InvalidVariantsAreFilteredFromBest) {
 TEST(Dse, BestBeatsMaxjBaseline) {
   // The case-study claim: exploring the space beats the HLS tool's
   // pipeline-only implementation.
-  const DseResult r = dse::explore(kDim * kDim * kDim,
-                                   sor_lower(ir::ExecForm::B), fig15_db(), {});
-  const auto baseline =
-      dse::maxj_baseline(kDim * kDim * kDim, sor_lower(ir::ExecForm::B), fig15_db());
+  const DseResult r = sweep(ir::ExecForm::B);
+  dse::Session session;
+  const auto baseline = session.baseline(sor_job(ir::ExecForm::B));
   ASSERT_TRUE(r.best.has_value());
   EXPECT_GT(r.entries[*r.best].report.throughput.ekit,
             baseline.throughput.ekit * 2.0);
@@ -72,10 +82,8 @@ TEST(Dse, BestBeatsMaxjBaseline) {
 TEST(Dse, FormAHitsHostWallEarlierThanFormB) {
   // Fig. 15: the host communication wall sits at ~4 lanes for form A;
   // with form B it moves out to ~16 lanes.
-  const DseResult a = dse::explore(kDim * kDim * kDim,
-                                   sor_lower(ir::ExecForm::A), fig15_db(), {});
-  const DseResult b = dse::explore(kDim * kDim * kDim,
-                                   sor_lower(ir::ExecForm::B), fig15_db(), {});
+  const DseResult a = sweep(ir::ExecForm::A);
+  const DseResult b = sweep(ir::ExecForm::B);
   auto wall_lanes = [](const DseResult& r, cost::Wall wall) -> std::uint32_t {
     for (const auto& e : r.entries) {
       if (e.report.throughput.limiting == wall) return e.report.params.knl;
@@ -90,8 +98,7 @@ TEST(Dse, FormAHitsHostWallEarlierThanFormB) {
 }
 
 TEST(Dse, EkitImprovesUntilTheWall) {
-  const DseResult r = dse::explore(kDim * kDim * kDim,
-                                   sor_lower(ir::ExecForm::B), fig15_db(), {});
+  const DseResult r = sweep(ir::ExecForm::B);
   double prev = 0;
   for (const auto& e : r.entries) {
     if (!e.report.valid) break;
@@ -101,8 +108,7 @@ TEST(Dse, EkitImprovesUntilTheWall) {
 }
 
 TEST(Dse, SweepFormatterListsEveryVariant) {
-  const DseResult r = dse::explore(kDim * kDim * kDim,
-                                   sor_lower(ir::ExecForm::B), fig15_db(), {});
+  const DseResult r = sweep(ir::ExecForm::B);
   const std::string text = dse::format_sweep(r);
   EXPECT_NE(text.find("lanes"), std::string::npos);
   EXPECT_NE(text.find("best:"), std::string::npos);
@@ -113,8 +119,7 @@ TEST(Dse, SweepFormatterListsEveryVariant) {
 }
 
 TEST(Dse, ExplorationIsFast) {
-  const DseResult r = dse::explore(kDim * kDim * kDim,
-                                   sor_lower(ir::ExecForm::B), fig15_db(), {});
+  const DseResult r = sweep(ir::ExecForm::B);
   // The paper: 0.3 s/variant in Perl. Our C++ estimator is far faster;
   // hold the whole sweep under that budget per variant.
   EXPECT_LT(r.explore_seconds / static_cast<double>(r.entries.size()), 0.3);

@@ -6,11 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <thread>
 
 #include "tytra/dse/cache.hpp"
-#include "tytra/dse/explorer.hpp"
-#include "tytra/dse/tuner.hpp"
+#include "tytra/dse/session.hpp"
 #include "tytra/kernels/kernels.hpp"
 #include "tytra/kernels/lowerers.hpp"
 #include "tytra/support/rng.hpp"
@@ -19,7 +19,6 @@ namespace {
 
 using namespace tytra;
 using dse::CostCache;
-using dse::DseOptions;
 using dse::DseResult;
 
 constexpr std::uint32_t kDim = 24;  // 13824 work-items (the Fig. 15 grid)
@@ -62,21 +61,41 @@ const cost::DeviceCostDb& sv_db() {
   return db;
 }
 
+dse::Job fn_job(std::uint64_t n, dse::LowerFn lower,
+                const cost::DeviceCostDb& db, std::uint32_t max_lanes = 16) {
+  dse::Job job;
+  job.n = n;
+  job.lower = std::make_shared<dse::FnLowerer>(std::move(lower));
+  job.db = &db;
+  job.max_lanes = max_lanes;
+  return job;
+}
+
+dse::Job sor_job(const cost::DeviceCostDb& db) {
+  return fn_job(kDim * kDim * kDim, sor_lower(), db);
+}
+
+dse::SessionOptions threads(std::uint32_t n, bool cache = false) {
+  dse::SessionOptions so;
+  so.num_threads = n;
+  so.enable_cache = cache;
+  return so;
+}
+
+/// One uncached sweep on a fresh session with `n` workers (0 = auto).
+DseResult sweep(const dse::Job& job, std::uint32_t n = 0) {
+  return dse::Session(threads(n)).explore(job);
+}
+
 // --------------------------------------------------------------------------
 // Determinism: parallel == sequential, byte for byte
 // --------------------------------------------------------------------------
 
 TEST(DseParallel, SorSweepIsByteIdenticalAcrossThreadCounts) {
-  DseOptions seq;
-  seq.num_threads = 1;
-  const DseResult base = dse::explore(kDim * kDim * kDim, sor_lower(),
-                                      fig15_db(), seq);
+  const DseResult base = sweep(sor_job(fig15_db()), 1);
   const std::string expected = dse::format_sweep(base);
   for (const std::uint32_t threads : {2u, 3u, 8u}) {
-    DseOptions par;
-    par.num_threads = threads;
-    const DseResult r = dse::explore(kDim * kDim * kDim, sor_lower(),
-                                     fig15_db(), par);
+    const DseResult r = sweep(sor_job(fig15_db()), threads);
     EXPECT_EQ(dse::format_sweep(r), expected) << "threads=" << threads;
     EXPECT_EQ(r.best, base.best) << "threads=" << threads;
     EXPECT_EQ(dse::format_pareto(r), dse::format_pareto(base))
@@ -95,32 +114,23 @@ TEST(DseParallel, HotspotAndLavamdSweepsAreByteIdentical) {
       {"lavamd", 1024, lavamd_lower()},
   };
   for (const auto& c : cases) {
-    DseOptions seq;
-    seq.num_threads = 1;
-    DseOptions par;
-    par.num_threads = 4;
-    const DseResult a = dse::explore(c.n, c.lower, sv_db(), seq);
-    const DseResult b = dse::explore(c.n, c.lower, sv_db(), par);
+    const DseResult a = sweep(fn_job(c.n, c.lower, sv_db()), 1);
+    const DseResult b = sweep(fn_job(c.n, c.lower, sv_db()), 4);
     EXPECT_EQ(dse::format_sweep(b), dse::format_sweep(a)) << c.name;
   }
 }
 
 TEST(DseParallel, MoreThreadsThanVariantsIsSafe) {
-  DseOptions opt;
-  opt.num_threads = 64;
-  const DseResult r = dse::explore(kDim * kDim * kDim, sor_lower(),
-                                   fig15_db(), opt);
+  const DseResult r = sweep(sor_job(fig15_db()), 64);
   EXPECT_EQ(r.entries.size(), 9u);
   ASSERT_TRUE(r.best.has_value());
 }
 
 TEST(DseParallel, LowerExceptionPropagatesFromWorkers) {
-  DseOptions opt;
-  opt.num_threads = 4;
   const dse::LowerFn bad = [](const frontend::Variant&) -> ir::Module {
     throw std::runtime_error("lowering failed");
   };
-  EXPECT_THROW(dse::explore(kDim * kDim * kDim, bad, fig15_db(), opt),
+  EXPECT_THROW(sweep(fn_job(kDim * kDim * kDim, bad, fig15_db()), 4),
                std::runtime_error);
 }
 
@@ -129,34 +139,23 @@ TEST(DseParallel, LowerExceptionPropagatesFromWorkers) {
 // --------------------------------------------------------------------------
 
 TEST(DseCache, ColdSweepMissesThenWarmSweepHits) {
-  CostCache cache;
-  DseOptions opt;
-  opt.num_threads = 2;
-  opt.cache = &cache;
-
-  const DseResult cold = dse::explore(kDim * kDim * kDim, sor_lower(),
-                                      fig15_db(), opt);
+  dse::Session session(threads(2, /*cache=*/true));
+  const DseResult cold = session.explore(sor_job(fig15_db()));
   EXPECT_EQ(cold.cache_stats.misses, cold.entries.size());
   EXPECT_EQ(cold.cache_stats.hits, 0u);
-  EXPECT_EQ(cache.size(), cold.entries.size());
+  EXPECT_EQ(session.cache()->size(), cold.entries.size());
 
-  const DseResult warm = dse::explore(kDim * kDim * kDim, sor_lower(),
-                                      fig15_db(), opt);
+  const DseResult warm = session.explore(sor_job(fig15_db()));
   EXPECT_EQ(warm.cache_stats.hits, warm.entries.size());
   EXPECT_EQ(warm.cache_stats.misses, 0u);
   EXPECT_EQ(dse::format_sweep(warm), dse::format_sweep(cold));
 }
 
 TEST(DseCache, CachedSweepMatchesUncachedByteForByte) {
-  CostCache cache;
-  DseOptions cached;
-  cached.cache = &cache;
-  cached.num_threads = 1;
-  DseOptions plain;
-  plain.num_threads = 1;
-  const auto a = dse::explore(kDim * kDim * kDim, sor_lower(), fig15_db(), plain);
-  dse::explore(kDim * kDim * kDim, sor_lower(), fig15_db(), cached);  // fill
-  const auto b = dse::explore(kDim * kDim * kDim, sor_lower(), fig15_db(), cached);
+  dse::Session cached(threads(1, /*cache=*/true));
+  const auto a = sweep(sor_job(fig15_db()), 1);
+  cached.explore(sor_job(fig15_db()));  // fill
+  const auto b = cached.explore(sor_job(fig15_db()));
   EXPECT_EQ(dse::format_sweep(b), dse::format_sweep(a));
   EXPECT_EQ(dse::format_pareto(b), dse::format_pareto(a));
 }
@@ -164,12 +163,10 @@ TEST(DseCache, CachedSweepMatchesUncachedByteForByte) {
 TEST(DseCache, DistinguishesDevices) {
   // The same variants costed against different calibrations must not
   // cross-hit: the device identity is part of the key.
-  CostCache cache;
-  DseOptions opt;
-  opt.cache = &cache;
-  const auto on_fig15 = dse::explore(kDim * kDim * kDim, sor_lower(),
-                                     fig15_db(), opt);
-  const auto on_sv = dse::explore(kDim * kDim * kDim, sor_lower(), sv_db(), opt);
+  dse::Session session;
+  const auto on_fig15 = session.explore(sor_job(fig15_db()));
+  const auto on_sv = session.explore(sor_job(sv_db()));
+  const CostCache& cache = *session.cache();
   EXPECT_EQ(on_fig15.cache_stats.misses, on_fig15.entries.size());
   EXPECT_EQ(on_sv.cache_stats.misses, on_sv.entries.size());
   EXPECT_EQ(on_sv.cache_stats.hits, 0u);
@@ -179,28 +176,24 @@ TEST(DseCache, DistinguishesDevices) {
 TEST(DseCache, TunerRidesSweepCache) {
   // The feedback path: a tuner walk after a full sweep re-visits only
   // variants the sweep already costed.
-  CostCache cache;
-  DseOptions opt;
-  opt.cache = &cache;
-  dse::explore(kDim * kDim * kDim, sor_lower(), fig15_db(), opt);
-  const auto before = cache.stats();
-  const auto tuned = dse::tune(kDim * kDim * kDim, sor_lower(), fig15_db(), 12,
-                               &cache);
-  const auto after = cache.stats();
+  dse::Session session;
+  session.explore(sor_job(fig15_db()));
+  const auto before = session.cache()->stats();
+  const auto tuned = session.tune(sor_job(fig15_db()));
+  const auto after = session.cache()->stats();
   EXPECT_GE(tuned.trajectory.size(), 2u);
   EXPECT_EQ(after.misses, before.misses);  // nothing new to evaluate
   EXPECT_EQ(after.hits - before.hits, tuned.trajectory.size());
 }
 
 TEST(DseCache, ClearResetsEverything) {
-  CostCache cache;
-  DseOptions opt;
-  opt.cache = &cache;
-  dse::explore(kDim * kDim * kDim, sor_lower(), fig15_db(), opt);
+  dse::Session session;
+  session.explore(sor_job(fig15_db()));
+  CostCache& cache = *session.cache();
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.stats().lookups(), 0u);
-  const auto r = dse::explore(kDim * kDim * kDim, sor_lower(), fig15_db(), opt);
+  const auto r = session.explore(sor_job(fig15_db()));
   EXPECT_EQ(r.cache_stats.misses, r.entries.size());
 }
 
@@ -217,8 +210,7 @@ bool dominates(const dse::ParetoPoint& a, const dse::ParetoPoint& b) {
 }
 
 TEST(DsePareto, FrontierIsValidAndMutuallyNonDominated) {
-  const DseResult r = dse::explore(kDim * kDim * kDim, sor_lower(),
-                                   fig15_db(), {});
+  const DseResult r = sweep(sor_job(fig15_db()));
   ASSERT_FALSE(r.pareto.empty());
   for (const auto& p : r.pareto) {
     EXPECT_TRUE(r.entries[p.index].report.valid);
@@ -234,8 +226,7 @@ TEST(DsePareto, FrontierIsValidAndMutuallyNonDominated) {
 }
 
 TEST(DsePareto, FrontierCoversBothEndsOfTheTradeoff) {
-  const DseResult r = dse::explore(kDim * kDim * kDim, sor_lower(),
-                                   fig15_db(), {});
+  const DseResult r = sweep(sor_job(fig15_db()));
   ASSERT_TRUE(r.best.has_value());
   // The highest-EKIT design is on the frontier...
   bool best_on_frontier = false;
@@ -273,9 +264,7 @@ TEST(DsePareto, SkylineMatchesBruteForceFrontier) {
       {1024, lavamd_lower(), 16},
   };
   for (const auto& c : cases) {
-    DseOptions opt;
-    opt.max_lanes = c.max_lanes;
-    const DseResult r = dse::explore(c.n, c.lower, fig15_db(), opt);
+    const DseResult r = sweep(fn_job(c.n, c.lower, fig15_db(), c.max_lanes));
 
     // Brute force over the valid entries.
     std::vector<dse::ParetoPoint> candidates;
@@ -308,18 +297,13 @@ TEST(DseCache, FewerShardsThanWorkersStaysDeterministic) {
   // lock-free; shards only spread insert contention), so 8 workers
   // really do hammer a 1-shard cache here — the sweep must still be
   // byte-identical.
-  DseOptions plain;
-  plain.num_threads = 1;
-  const DseResult base = dse::explore(kDim * kDim * kDim, sor_lower(),
-                                      fig15_db(), plain);
-  CostCache tiny(1);
-  DseOptions opt;
-  opt.num_threads = 8;
-  opt.cache = &tiny;
-  const DseResult r = dse::explore(kDim * kDim * kDim, sor_lower(),
-                                   fig15_db(), opt);
+  const DseResult base = sweep(sor_job(fig15_db()), 1);
+  dse::SessionOptions so = threads(8, /*cache=*/true);
+  so.cache_shards = 1;
+  dse::Session session(so);
+  const DseResult r = session.explore(sor_job(fig15_db()));
   EXPECT_EQ(dse::format_sweep(r), dse::format_sweep(base));
-  EXPECT_EQ(tiny.shard_count(), 1u);
+  EXPECT_EQ(session.cache()->shard_count(), 1u);
   EXPECT_EQ(r.cache_stats.misses, r.entries.size());
 }
 
@@ -329,7 +313,7 @@ TEST(DsePareto, NoValidEntriesMeansEmptyFrontier) {
   tiny.resources.aluts = 10;
   tiny.resources.regs = 10;
   const auto db = cost::DeviceCostDb::calibrate(tiny);
-  const DseResult r = dse::explore(kDim * kDim * kDim, sor_lower(), db, {});
+  const DseResult r = sweep(sor_job(db));
   EXPECT_FALSE(r.best.has_value());
   EXPECT_TRUE(r.pareto.empty());
   EXPECT_NE(dse::format_pareto(r).find("0 of"), std::string::npos);
@@ -483,8 +467,7 @@ TEST(DseCacheHammer, ConcurrentVariantKeyLookupsReturnExactReports) {
 }
 
 TEST(DsePareto, FormatListsOneRowPerPoint) {
-  const DseResult r = dse::explore(kDim * kDim * kDim, sor_lower(),
-                                   fig15_db(), {});
+  const DseResult r = sweep(sor_job(fig15_db()));
   const std::string text = dse::format_pareto(r);
   EXPECT_EQ(std::count(text.begin(), text.end(), '\n'),
             static_cast<std::ptrdiff_t>(r.pareto.size()) + 2);

@@ -4,10 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "tytra/codegen/maxj.hpp"
 #include "tytra/cost/roofline.hpp"
 #include "tytra/cost/tiling.hpp"
-#include "tytra/dse/tuner.hpp"
+#include "tytra/dse/session.hpp"
 #include "tytra/kernels/kernels.hpp"
 
 namespace {
@@ -160,9 +162,23 @@ dse::LowerFn sor_lower_fig15() {
   };
 }
 
+/// A job over `lower`. The tuner's walk is capped at `max_lanes`; 1024
+/// leaves it to the walls.
+dse::Job fn_job(std::uint64_t n, dse::LowerFn lower,
+                const cost::DeviceCostDb& db, std::uint32_t max_lanes = 1024) {
+  dse::Job job;
+  job.n = n;
+  job.lower = std::make_shared<dse::FnLowerer>(std::move(lower));
+  job.db = &db;
+  job.max_lanes = max_lanes;
+  return job;
+}
+
 TEST(Tuner, ClimbsToTheWallAndStops) {
   const auto fig15 = cost::DeviceCostDb::calibrate(target::fig15_profile());
-  const auto result = dse::tune(24 * 24 * 24, sor_lower_fig15(), fig15);
+  dse::Session session;
+  const auto result =
+      session.tune(fn_job(24 * 24 * 24, sor_lower_fig15(), fig15));
   ASSERT_GE(result.trajectory.size(), 2u);
   // Every step until the stop improves EKIT.
   for (std::size_t i = 1; i + 1 < result.trajectory.size(); ++i) {
@@ -178,10 +194,9 @@ TEST(Tuner, ClimbsToTheWallAndStops) {
 TEST(Tuner, FindsTheSweepOptimumWithFewerEvaluations) {
   const auto fig15 = cost::DeviceCostDb::calibrate(target::fig15_profile());
   const std::uint64_t n = 24 * 24 * 24;
-  const auto tuned = dse::tune(n, sor_lower_fig15(), fig15);
-  dse::DseOptions opt;
-  opt.max_lanes = 16;
-  const auto swept = dse::explore(n, sor_lower_fig15(), fig15, opt);
+  dse::Session session;
+  const auto tuned = session.tune(fn_job(n, sor_lower_fig15(), fig15));
+  const auto swept = session.explore(fn_job(n, sor_lower_fig15(), fig15, 16));
   ASSERT_TRUE(swept.best.has_value());
   // The tuner reaches within a few percent of the exhaustive optimum.
   EXPECT_GT(tuned.best_step().report.throughput.ekit,
@@ -192,12 +207,14 @@ TEST(Tuner, FindsTheSweepOptimumWithFewerEvaluations) {
 TEST(Tuner, DiagnosesBandwidthWalls) {
   // On the real Stratix-V, SOR saturates DRAM before it runs out of logic:
   // the tuner must stop with a bandwidth diagnosis, not spin forever.
-  const auto result = dse::tune(32 * 32 * 32, [](const frontend::Variant& v) {
+  const dse::LowerFn lower = [](const frontend::Variant& v) {
     kernels::SorConfig cfg;
     cfg.im = cfg.jm = cfg.km = 32;
     cfg.lanes = v.lanes();
     return kernels::make_sor(cfg);
-  }, db());
+  };
+  dse::Session session;
+  const auto result = session.tune(fn_job(32 * 32 * 32, lower, db()));
   EXPECT_NE(result.verdict.find("wall"), std::string::npos);
   const std::string text = dse::format_tune(result);
   EXPECT_NE(text.find("step 0"), std::string::npos);

@@ -4,10 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "tytra/codegen/maxj.hpp"
 #include "tytra/codegen/verilog.hpp"
 #include "tytra/cost/report.hpp"
-#include "tytra/dse/explorer.hpp"
+#include "tytra/dse/session.hpp"
 #include "tytra/fabric/synth.hpp"
 #include "tytra/ir/parser.hpp"
 #include "tytra/ir/passes.hpp"
@@ -115,10 +117,16 @@ TEST(EndToEnd, DseSelectionBeatsBaselineOnConstrainedDevice) {
     cfg.lanes = v.lanes();
     return kernels::make_sor(cfg);
   };
-  const auto result = dse::explore(n, lower, fig15, {.max_lanes = 16});
+  dse::Job job;
+  job.n = n;
+  job.lower = std::make_shared<dse::FnLowerer>(lower);
+  job.db = &fig15;
+  job.max_lanes = 16;
+  dse::Session session;
+  const auto result = session.explore(job);
   ASSERT_TRUE(result.best.has_value());
   const auto& best = result.entries[*result.best];
-  const auto baseline = dse::maxj_baseline(n, lower, fig15);
+  const auto baseline = session.baseline(job);
   EXPECT_GT(best.report.throughput.ekit, baseline.throughput.ekit * 3.0);
 
   // The chosen design is synthesizable on the same device.

@@ -1,9 +1,8 @@
 // Tests for the persistent dse::ThreadPool and the campaign-wide
 // scheduler built on it: worker-index pinning (the per-worker arena
 // contract), batch semantics and exception propagation, campaign output
-// byte-identity across thread counts, flattened-vs-job-by-job parity,
-// and a sanitizer hammer (two sessions sharing one cache_override while
-// each reuses its pool across explore/tune/campaign) for TSan CI runs.
+// byte-identity across thread counts, and flattened-vs-job-by-job
+// parity.
 
 #include <gtest/gtest.h>
 
@@ -286,99 +285,6 @@ TEST(CampaignScheduling, FlattenedRunMatchesJobByJobExplore) {
   const auto& repeat = result.jobs[result.jobs.size() - 1].result;
   EXPECT_EQ(repeat.cache_stats.misses, 0u);
   EXPECT_EQ(repeat.cache_stats.variant_hits, repeat.entries.size());
-}
-
-TEST(CampaignScheduling, RunAcceptsACacheOverride) {
-  // run() joins explore/tune in accepting a cache_override, so several
-  // sessions can campaign against one shared cache.
-  dse::CostCache shared;
-  dse::SessionOptions so;
-  so.enable_cache = false;  // the session owns none; the override is it
-  dse::Session session(so);
-  session.add_device(*target::preset("fig15"));
-
-  dse::Campaign campaign;
-  auto job = Registry::instance().make_job("sor", 8);
-  ASSERT_TRUE(job.ok());
-  campaign.jobs.push_back(std::move(job).take());
-
-  const dse::CampaignResult cold = session.run(campaign, &shared);
-  EXPECT_EQ(cold.cache_stats.misses, cold.jobs[0].result.entries.size());
-  const dse::CampaignResult warm = session.run(campaign, &shared);
-  EXPECT_EQ(warm.cache_stats.variant_hits,
-            warm.jobs[0].result.entries.size());
-  EXPECT_EQ(dse::format_sweep(warm.jobs[0].result),
-            dse::format_sweep(cold.jobs[0].result));
-
-  // Without the override the session is uncached: stats stay zero while
-  // the designs themselves are unchanged (format_campaign embeds the
-  // stats line, so compare the per-job sweep instead).
-  const dse::CampaignResult uncached = session.run(campaign);
-  EXPECT_EQ(uncached.cache_stats.lookups(), 0u);
-  EXPECT_EQ(dse::format_sweep(uncached.jobs[0].result),
-            dse::format_sweep(cold.jobs[0].result));
-}
-
-// --------------------------------------------------------------------------
-// Sanitizer hammer (run under TSan in CI)
-// --------------------------------------------------------------------------
-
-TEST(PoolHammer, TwoSessionsShareACacheAcrossExploreTuneAndCampaign) {
-  // Two independent sessions — each with its own persistent pool and
-  // arenas, both parallel — drive explore/tune/campaign concurrently
-  // against ONE shared cache. Exercises: pool reuse across heterogeneous
-  // batches, per-worker arena pinning, and the cache's lock-free read
-  // path under cross-session mixed hit/miss traffic.
-  dse::CostCache shared;
-  std::atomic<int> failures{0};
-
-  auto drive = [&](std::uint64_t seed) {
-    try {
-      dse::SessionOptions so;
-      so.num_threads = 4;
-      so.enable_cache = false;  // all caching through the shared override
-      dse::Session session(so);
-      session.add_device(*target::preset("fig15"));
-      session.add_device(*target::preset("stratix-v-gsd8"));
-
-      for (int round = 0; round < 3; ++round) {
-        // Rotate which kernel each session leads with so the two
-        // sessions keep colliding on warm and cold entries alike.
-        const char* kernels[] = {"sor", "hotspot", "lavamd"};
-        const char* kernel = kernels[(seed + round) % 3];
-        auto job_r = Registry::instance().make_job(
-            kernel, 8 + 4 * static_cast<std::uint32_t>((seed + round) % 2));
-        ASSERT_TRUE(job_r.ok());
-        dse::Job job = std::move(job_r).take();
-        job.device = "fig15-profile";
-
-        const auto swept = session.explore(job, &shared);
-        if (swept.entries.empty()) failures.fetch_add(1);
-        const auto tuned = session.tune(job, &shared);
-        if (tuned.trajectory.empty()) failures.fetch_add(1);
-
-        dse::Campaign campaign;
-        for (const char* k : kernels) {
-          auto r = Registry::instance().make_job(k, 12);
-          ASSERT_TRUE(r.ok());
-          dse::Job j = std::move(r).take();
-          j.device = round % 2 ? "stratix-v-gsd8" : "fig15-profile";
-          campaign.jobs.push_back(std::move(j));
-        }
-        const auto ran = session.run(campaign, &shared);
-        if (ran.jobs.size() != campaign.jobs.size()) failures.fetch_add(1);
-      }
-    } catch (...) {
-      failures.fetch_add(1);
-    }
-  };
-
-  std::thread a(drive, 0);
-  std::thread b(drive, 1);
-  a.join();
-  b.join();
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_GT(shared.stats().hits, 0u);
 }
 
 }  // namespace

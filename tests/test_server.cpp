@@ -401,6 +401,44 @@ TEST(Server, MalformedRequestsKeepTheConnection) {
   EXPECT_EQ(frames[0].get_string("message").value_or(""),
             "request: unknown cmd 'frobnicate'");
 
+  // Fields of the wrong type or out of range: an error frame with exit 2
+  // that names the field, never a silent default or an out-of-range cast.
+  const struct {
+    const char* request;
+    const char* field;
+  } bad_fields[] = {
+      {R"({"cmd": "campaign", "kernels": ["sor"], "nds": [-1]})", "nds"},
+      {R"({"cmd": "campaign", "kernels": ["sor"], "nds": [6.5]})", "nds"},
+      {R"({"cmd": "campaign", "kernels": ["sor"], "nds": [4294967296]})",
+       "nds"},
+      {R"({"cmd": "campaign", "kernels": ["sor"], "nds": ["6"]})", "nds"},
+      {R"({"cmd": "explore", "kernel": "sor", "nd": "8"})", "nd"},
+      {R"({"cmd": "explore", "kernel": "sor", "nd": -8})", "nd"},
+      {R"({"cmd": "explore", "kernel": "sor", "max_lanes": "16"})",
+       "max_lanes"},
+      {R"({"cmd": "explore", "kernel": "sor", "max_lanes": 1e12})",
+       "max_lanes"},
+      {R"({"cmd": "tune", "kernel": "sor", "max_steps": 10001})",
+       "max_steps"},
+      {R"({"cmd": "tune", "kernel": "sor", "max_steps": true})", "max_steps"},
+      {R"({"cmd": "explore", "kernel": "sor", "deadline_ms": -5})",
+       "deadline_ms"},
+      {R"({"cmd": "campaign", "kernels": ["sor"], "deadline_ms": 0.5})",
+       "deadline_ms"},
+  };
+  for (const auto& bad : bad_fields) {
+    ASSERT_TRUE(client.send(bad.request));
+    frames = client.collect();
+    ASSERT_EQ(frames.size(), 1u) << bad.request;
+    EXPECT_EQ(frames[0].get_string("type").value_or(""), "error")
+        << bad.request;
+    EXPECT_EQ(frames[0].get_u32("exit").value_or(0), 2u) << bad.request;
+    const std::string message = frames[0].get_string("message").value_or("");
+    EXPECT_NE(message.find("\"" + std::string(bad.field) + "\""),
+              std::string::npos)
+        << bad.request << ": " << message;
+  }
+
   ASSERT_TRUE(client.send(R"({"cmd": "ping"})"));
   frames = client.collect();
   ASSERT_EQ(frames.size(), 1u);

@@ -1,8 +1,7 @@
-// Tests for the dse::Session campaign API and the kernels::Registry:
-// Session-vs-free-function byte-identity (the free functions are shims
-// over a temporary Session — the two surfaces must never drift), the
-// campaign's shared warm cache and merged Pareto view, registry
-// lookup/enumeration/validation, and the API-boundary argument checks.
+// Tests for the dse::Session campaign API and the kernels::Registry: the
+// session cache shared by sweeps and tune walks, the campaign's shared
+// warm cache and merged Pareto view, registry lookup/enumeration/
+// validation, and the API-boundary argument checks.
 
 #include <gtest/gtest.h>
 
@@ -48,102 +47,8 @@ dse::Job registry_job(const char* workload, std::uint32_t nd,
 }
 
 // --------------------------------------------------------------------------
-// Session vs free functions: byte identity
+// Session cache
 // --------------------------------------------------------------------------
-
-TEST(Session, SweepAndParetoMatchFreeFunctionsByteForByte) {
-  // Every kernel x every device preset: the session path (registry job,
-  // session-owned cache) must render exactly what the legacy free
-  // function renders — warm or cold makes no difference to the output.
-  for (const auto& c : kCases) {
-    for (const auto& preset : target::preset_names()) {
-      const auto& db = preset_db(preset);
-      dse::Job job = registry_job(c.workload, c.nd, db);
-      const auto lower =
-          std::static_pointer_cast<const dse::KeyedLowerer>(job.lower);
-
-      dse::DseOptions opt;
-      opt.num_threads = 1;
-      const dse::DseResult expected = dse::explore(job.n, *lower, db, opt);
-
-      dse::SessionOptions so;
-      so.num_threads = 1;
-      dse::Session session(so);
-      const dse::DseResult cold = session.explore(job);
-      const dse::DseResult warm = session.explore(job);  // variant-key warm
-
-      EXPECT_EQ(dse::format_sweep(cold), dse::format_sweep(expected))
-          << c.workload << " on " << preset;
-      EXPECT_EQ(dse::format_pareto(cold), dse::format_pareto(expected))
-          << c.workload << " on " << preset;
-      EXPECT_EQ(dse::format_sweep(warm), dse::format_sweep(expected))
-          << c.workload << " on " << preset << " (warm)";
-      EXPECT_EQ(dse::format_pareto(warm), dse::format_pareto(expected))
-          << c.workload << " on " << preset << " (warm)";
-      EXPECT_EQ(warm.cache_stats.variant_hits, warm.entries.size())
-          << c.workload << " on " << preset;
-    }
-  }
-}
-
-TEST(Session, TuneMatchesFreeFunctionByteForByte) {
-  for (const auto& c : kCases) {
-    for (const auto& preset : target::preset_names()) {
-      const auto& db = preset_db(preset);
-      dse::Job job = registry_job(c.workload, c.nd, db);
-      const auto lower =
-          std::static_pointer_cast<const dse::KeyedLowerer>(job.lower);
-
-      const dse::TuneResult expected = dse::tune(job.n, *lower, db);
-      dse::Session session;
-      const dse::TuneResult got = session.tune(job);
-      EXPECT_EQ(dse::format_tune(got), dse::format_tune(expected))
-          << c.workload << " on " << preset;
-    }
-  }
-}
-
-TEST(Session, BaselineMatchesFreeFunction) {
-  const auto& db = preset_db("fig15");
-  dse::Job job = registry_job("sor", 8, db);
-  const auto lower = std::static_pointer_cast<const dse::KeyedLowerer>(job.lower);
-  const cost::CostReport expected = dse::maxj_baseline(job.n, *lower, db);
-  dse::Session session;
-  const cost::CostReport got = session.baseline(job);
-  EXPECT_EQ(cost::format_report(got).substr(0, 40),
-            cost::format_report(expected).substr(0, 40));
-  EXPECT_DOUBLE_EQ(got.throughput.ekit, expected.throughput.ekit);
-  EXPECT_EQ(got.params.knl, expected.params.knl);
-}
-
-TEST(Session, DeprecatedShimsStillHonorCallerCache) {
-  // The LowerFn overloads and the DseOptions::cache plumbing are shims
-  // over a temporary Session; the caller's cache must keep working
-  // exactly as before (fill on the first sweep, hit on the second).
-  const auto& db = preset_db("fig15");
-  dse::CostCache cache;
-  dse::DseOptions opt;
-  opt.num_threads = 1;
-  opt.cache = &cache;
-  const dse::LowerFn fn = [](const frontend::Variant& v) {
-    kernels::SorConfig cfg;
-    cfg.im = cfg.jm = cfg.km = 8;
-    cfg.nki = 10;
-    cfg.lanes = v.lanes();
-    return kernels::make_sor(cfg);
-  };
-  const auto cold = dse::explore(512, fn, db, opt);
-  const auto warm = dse::explore(512, fn, db, opt);
-  EXPECT_EQ(cold.cache_stats.misses, cold.entries.size());
-  EXPECT_EQ(warm.cache_stats.hits, warm.entries.size());
-  EXPECT_EQ(dse::format_sweep(warm), dse::format_sweep(cold));
-
-  // And without a cache the shim session adds none: stats stay zero.
-  dse::DseOptions plain;
-  plain.num_threads = 1;
-  const auto uncached = dse::explore(512, fn, db, plain);
-  EXPECT_EQ(uncached.cache_stats.lookups(), 0u);
-}
 
 TEST(Session, TuneRidesTheSessionCacheAfterExplore) {
   const auto& db = preset_db("fig15");
@@ -576,19 +481,6 @@ TEST(Skyline, AllNonFiniteYieldsEmptyFrontierWithoutCrashing) {
   }
   const std::vector<bool> keep = dse::detail::skyline_keep(candidates);
   for (const bool k : keep) EXPECT_FALSE(k);
-}
-
-TEST(SessionValidation, FreeFunctionsRejectZeroMaxLanes) {
-  const auto& db = preset_db("fig15");
-  const dse::LowerFn fn = [](const frontend::Variant& v) {
-    kernels::SorConfig cfg;
-    cfg.im = cfg.jm = cfg.km = 8;
-    cfg.lanes = v.lanes();
-    return kernels::make_sor(cfg);
-  };
-  dse::DseOptions opt;
-  opt.max_lanes = 0;
-  EXPECT_THROW(dse::explore(512, fn, db, opt), std::invalid_argument);
 }
 
 }  // namespace

@@ -9,10 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
 #include "tytra/dse/cache.hpp"
-#include "tytra/dse/explorer.hpp"
-#include "tytra/dse/tuner.hpp"
+#include "tytra/dse/session.hpp"
 #include "tytra/ir/printer.hpp"
 #include "tytra/kernels/kernels.hpp"
 #include "tytra/kernels/lowerers.hpp"
@@ -42,6 +42,34 @@ KeyedLowerer lavamd_keyed() {
   kernels::LavamdConfig cfg;
   cfg.particles = 1024;
   return kernels::lavamd_lowerer(cfg);
+}
+
+dse::LowerFn sor_fn() {
+  return [](const frontend::Variant& v) {
+    kernels::SorConfig cfg;
+    cfg.im = cfg.jm = cfg.km = kDim;
+    cfg.nki = 10;
+    cfg.lanes = v.lanes();
+    return kernels::make_sor(cfg);
+  };
+}
+
+/// A SOR-grid job through `lower`, capped at 1024 lanes so the tuner's
+/// walk ends at a wall.
+dse::Job sor_job(std::shared_ptr<const dse::Lowerer> lower,
+                 const cost::DeviceCostDb& db) {
+  dse::Job job;
+  job.n = std::uint64_t{kDim} * kDim * kDim;
+  job.lower = std::move(lower);
+  job.db = &db;
+  job.max_lanes = 1024;
+  return job;
+}
+
+dse::SessionOptions uncached() {
+  dse::SessionOptions so;
+  so.enable_cache = false;
+  return so;
 }
 
 std::string stable_report(const cost::CostReport& r) {
@@ -169,23 +197,16 @@ TEST(VariantKey, DevicesDoNotCrossHit) {
 // --------------------------------------------------------------------------
 
 TEST(VariantKey, KeyedSweepIsByteIdenticalToFnSweepColdAndWarm) {
-  const std::uint64_t n = std::uint64_t{kDim} * kDim * kDim;
   const auto db = cost::DeviceCostDb::calibrate(target::fig15_profile());
-  const dse::LowerFn fn = [](const frontend::Variant& v) {
-    kernels::SorConfig cfg;
-    cfg.im = cfg.jm = cfg.km = kDim;
-    cfg.nki = 10;
-    cfg.lanes = v.lanes();
-    return kernels::make_sor(cfg);
-  };
-  const auto base = dse::explore(n, fn, db, {});
+  dse::Job fn_job = sor_job(std::make_shared<dse::FnLowerer>(sor_fn()), db);
+  fn_job.max_lanes = 16;
+  const auto base = dse::Session(uncached()).explore(fn_job);
 
-  const KeyedLowerer keyed = sor_keyed();
-  CostCache cache;
-  dse::DseOptions opt;
-  opt.cache = &cache;
-  const auto cold = dse::explore(n, keyed, db, opt);
-  const auto warm = dse::explore(n, keyed, db, opt);
+  dse::Job keyed_job = sor_job(std::make_shared<KeyedLowerer>(sor_keyed()), db);
+  keyed_job.max_lanes = 16;
+  dse::Session session;
+  const auto cold = session.explore(keyed_job);
+  const auto warm = session.explore(keyed_job);
   EXPECT_EQ(dse::format_sweep(cold), dse::format_sweep(base));
   EXPECT_EQ(dse::format_sweep(warm), dse::format_sweep(base));
   EXPECT_EQ(dse::format_pareto(cold), dse::format_pareto(base));
@@ -269,10 +290,11 @@ TEST(Divisors, EnumerateVariantsMatchesLegacyScan) {
 
 TEST(TunerGuards, NonPositiveStepBudgetYieldsEmptyTrajectory) {
   const auto db = cost::DeviceCostDb::calibrate(target::fig15_profile());
-  const KeyedLowerer sor = sor_keyed();
-  const std::uint64_t n = std::uint64_t{kDim} * kDim * kDim;
+  dse::Job job = sor_job(std::make_shared<KeyedLowerer>(sor_keyed()), db);
+  dse::Session session(uncached());
   for (const int max_steps : {0, -1, -100}) {
-    const auto result = dse::tune(n, sor, db, max_steps);
+    job.max_steps = max_steps;
+    const auto result = session.tune(job);
     EXPECT_TRUE(result.trajectory.empty()) << "max_steps=" << max_steps;
     EXPECT_NE(result.verdict, "");
     // format_tune used to dereference trajectory[best] here: UB on empty.
@@ -284,26 +306,20 @@ TEST(TunerGuards, NonPositiveStepBudgetYieldsEmptyTrajectory) {
 
 TEST(TunerGuards, KeyedTunerMatchesFnTunerAndRidesVariantKeys) {
   const auto db = cost::DeviceCostDb::calibrate(target::fig15_profile());
-  const KeyedLowerer keyed = sor_keyed();
-  const dse::LowerFn fn = [](const frontend::Variant& v) {
-    kernels::SorConfig cfg;
-    cfg.im = cfg.jm = cfg.km = kDim;
-    cfg.nki = 10;
-    cfg.lanes = v.lanes();
-    return kernels::make_sor(cfg);
-  };
-  const std::uint64_t n = std::uint64_t{kDim} * kDim * kDim;
-  const auto a = dse::tune(n, fn, db);
-  const auto b = dse::tune(n, keyed, db);
+  const dse::Job keyed =
+      sor_job(std::make_shared<KeyedLowerer>(sor_keyed()), db);
+  const dse::Job fn = sor_job(std::make_shared<dse::FnLowerer>(sor_fn()), db);
+  const auto a = dse::Session(uncached()).tune(fn);
+  const auto b = dse::Session(uncached()).tune(keyed);
   EXPECT_EQ(dse::format_tune(a), dse::format_tune(b));
 
   // A warm cache answers a rerun of the same trajectory entirely from
   // the variant-key table.
-  CostCache cache;
-  dse::tune(n, keyed, db, 12, &cache);
-  const auto before = cache.stats();
-  const auto rerun = dse::tune(n, keyed, db, 12, &cache);
-  const auto after = cache.stats();
+  dse::Session session;
+  session.tune(keyed);
+  const auto before = session.cache()->stats();
+  const auto rerun = session.tune(keyed);
+  const auto after = session.cache()->stats();
   EXPECT_EQ(dse::format_tune(rerun), dse::format_tune(b));
   EXPECT_EQ(after.misses, before.misses);
   EXPECT_EQ(after.variant_hits - before.variant_hits,

@@ -71,7 +71,6 @@ int main(int argc, char** argv) {
       opts.socket_path = argv[++i];
     } else if (arg == "--snapshot" && has_value) {
       opts.session.snapshot_path = argv[++i];
-      opts.session.enable_cache = true;
     } else if (arg == "--jobs" && has_value && parse_u32(argv[++i], v)) {
       opts.session.num_threads = v;
     } else if (arg == "--max-lanes" && has_value && parse_u32(argv[++i], v)) {
