@@ -38,6 +38,14 @@ struct OpLaw {
   tytra::PiecewiseLinear regs_pwl;
 };
 
+/// Fingerprint of every DeviceDesc field a cost report can depend on.
+/// Calibration is deterministic in the device description, so this value
+/// pins every law and table the cost model reads. The DSE cache folds it
+/// into both of its key levels (making stale snapshot entries unreachable
+/// rather than filtered), and snapshots store it beside each persisted
+/// calibration as its invalidation key.
+std::uint64_t device_fingerprint(const target::DeviceDesc& device);
+
 /// The calibrated per-device cost database.
 class DeviceCostDb {
  public:
@@ -75,6 +83,10 @@ class DeviceCostDb {
 
   [[nodiscard]] const target::DeviceDesc& device() const { return device_; }
 
+  /// device_fingerprint(device()), computed once when the database is
+  /// calibrated or loaded: per-lookup cache keying reads it for free.
+  [[nodiscard]] std::uint64_t fingerprint() const { return fingerprint_; }
+
   /// Wall-clock seconds the calibration itself took (one-time cost).
   [[nodiscard]] double calibration_seconds() const { return calib_seconds_; }
 
@@ -97,6 +109,7 @@ class DeviceCostDb {
 
  private:
   target::DeviceDesc device_;
+  std::uint64_t fingerprint_{0};
   std::map<ir::Opcode, OpLaw> int_laws_;
   /// Float cores are fixed-function: direct probe per (op, width).
   std::map<std::pair<ir::Opcode, int>, ResourceVec> float_costs_;

@@ -18,12 +18,15 @@
 //     key-less lowerers) the variant is lowered and the lookup keys on
 //     the device fingerprint plus the streamed 128-bit structural digest
 //     of the module (`ir::structural_digest`) — the authoritative design
-//     identity, independent of which lowerer produced the module. The
-//     full identity text (printed IR + device fingerprint) is
-//     materialized only on first insert as the collision fallback /
-//     audit record. Debug builds cross-check the two levels: every
-//     variant-key hit re-lowers and verifies the structural digest the
-//     key was first inserted under.
+//     identity, independent of which lowerer produced the module.
+//
+// An entry holds its key and its result, nothing else. A structural entry
+// is (digest, report): the 128-bit digest guards lookups against 64-bit
+// key collisions, and no printed IR is kept (tests, not lookups, pin that
+// equal digests mean equal printed IR). A variant entry is (key, the
+// structural entry it resolved to), so each design's report is stored
+// once. Debug builds cross-check the two levels: every variant-key hit
+// re-lowers and verifies the digest of the structural entry it refers to.
 //
 // Reads are lock-free: each level is a sharded open-addressed table whose
 // slots hold atomically published pointers to immutable entries, so N
@@ -60,13 +63,10 @@ struct CacheStats {
 /// extraction.
 std::uint64_t design_key(const ir::Module& module, const cost::DeviceCostDb& db);
 
-/// Fingerprint of every DeviceDesc field a cost report can depend on.
-/// Calibration is deterministic in the device description, so this value
-/// pins every law and table the cost model reads. It is folded into both
-/// cache levels' keys (making stale snapshot entries unreachable rather
-/// than filtered) and stored beside persisted calibrations as their
-/// invalidation key.
-std::uint64_t device_fingerprint(const target::DeviceDesc& device);
+/// The device fingerprint folded into both cache levels' keys. It is
+/// computed once per database (cost::DeviceCostDb::fingerprint()); this
+/// spelling keeps the value reachable from a bare DeviceDesc.
+using cost::device_fingerprint;
 
 /// Thread-safe memoization of cost::cost_design.
 class CostCache {
@@ -95,8 +95,7 @@ class CostCache {
   /// `db`, or runs the cost model and remembers the result. Safe to call
   /// concurrently; the read path takes no lock. Lookups verify the full
   /// 128-bit digest, so a 64-bit key collision degrades to a
-  /// recomputation instead of returning another design's report, and hits
-  /// never materialize the printed IR. When `was_hit` is non-null it
+  /// recomputation instead of returning another design's report. When `was_hit` is non-null it
   /// receives this lookup's outcome (for per-sweep accounting independent
   /// of the global counters).
   cost::CostReport cost(const ir::Module& module, const cost::DeviceCostDb& db,
@@ -128,7 +127,10 @@ class CostCache {
   /// Serializes every entry of each level into a snapshot payload stream
   /// (entries back to back until the end of the payload; no count prefix,
   /// so a dump concurrent with inserts is merely a consistent-at-lock
-  /// sample). Keys are stored as-is — the device fingerprint is already
+  /// sample, in which every variant entry's design is present). A
+  /// structural entry is (key, check, report); a variant entry
+  /// is (key, check, design key, design check), naming its structural
+  /// entry by digest. Keys are stored as-is — the device fingerprint is already
   /// folded in, which is what makes persisted entries self-invalidating:
   /// after a device or digest-scheme change the old keys are simply never
   /// probed.
@@ -142,8 +144,9 @@ class CostCache {
 
   /// Restores entries produced by dump(). Requires the same quiescence as
   /// clear() (enforced in debug builds): the table is being repopulated
-  /// wholesale at construction/attach time, not shared yet. On a decode
-  /// error the cache may hold a prefix of the snapshot's entries — every
+  /// wholesale at construction/attach time, not shared yet. The structural
+  /// level loads first; a variant entry whose design it does not hold is
+  /// a decode error. On a decode error the cache may hold a prefix of the snapshot's entries — every
   /// one individually valid — and the caller decides whether to keep or
   /// clear() them. Never throws; never trusts lengths or enum values.
   Result<LoadCounts> load(binio::Decoder& structural_in,

@@ -46,6 +46,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -333,7 +334,12 @@ class Session {
 
   /// Atomically writes the session's cache entries, device calibrations
   /// and still-unclaimed restored calibrations to `path` (empty = the
-  /// options' snapshot_path). Returns bytes written.
+  /// options' snapshot_path). Returns bytes written. A save that would
+  /// not change the file is skipped and returns the file's size: this
+  /// session loaded `path`, has added no cache entry and no fresh
+  /// calibration since, and the file's (device, inode, size, mtime) are
+  /// still the ones recorded at that load. The `snapshot.save` failpoint
+  /// fires before that check.
   Result<std::uint64_t> save_snapshot(const std::string& path = {});
 
  private:
@@ -371,14 +377,35 @@ class Session {
   std::vector<ir::BuildArena> arenas_;
   std::unique_ptr<ThreadPool> pool_;
   /// Calibrations restored from a snapshot, keyed by device name, waiting
-  /// for add_device() to claim them. The stored fingerprint is the
+  /// for add_device() to claim them. The database's fingerprint is the
   /// invalidation key: add_device() recalibrates (and drops the stale
   /// entry) when the incoming description no longer matches.
-  struct RestoredCalibration {
-    std::uint64_t fingerprint{0};
-    cost::DeviceCostDb db;
+  std::map<std::string, cost::DeviceCostDb, std::less<>> restored_;
+
+  /// Adds `db` to the device table; add_device() minus the bookkeeping.
+  const cost::DeviceCostDb& insert_device(std::string name,
+                                          cost::DeviceCostDb db);
+  /// A file's identity as stat(2) reports it.
+  struct FileStamp {
+    std::uint64_t dev{0};
+    std::uint64_t ino{0};
+    std::uint64_t size{0};
+    std::int64_t mtime_ns{0};
+    bool operator==(const FileStamp&) const = default;
   };
-  std::map<std::string, RestoredCalibration, std::less<>> restored_;
+  static std::optional<FileStamp> stamp_of(const std::string& path);
+  /// The snapshot file this session's state was loaded from, while that
+  /// state still equals the file's content: recorded only by a load into
+  /// an empty session with a cache, dropped by any later load and by any
+  /// fresh calibration. Cache growth shows as a size change: the session
+  /// only ever adds entries (its one clear() is a failed load's rollback).
+  struct LoadedSnapshot {
+    std::string path;
+    FileStamp stamp;
+    std::size_t structural{0};
+    std::size_t variant{0};
+  };
+  std::optional<LoadedSnapshot> loaded_;
 };
 
 // ---------------------------------------------------------------------------

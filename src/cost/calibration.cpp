@@ -5,6 +5,7 @@
 
 #include "tytra/membench/dram.hpp"
 #include "tytra/support/failpoint.hpp"
+#include "tytra/support/hash.hpp"
 
 namespace tytra::cost {
 
@@ -87,6 +88,34 @@ OpLaw fit_int_law(Opcode op, const target::DeviceDesc& device) {
 
 }  // namespace
 
+std::uint64_t device_fingerprint(const target::DeviceDesc& dev) {
+  // Every field a cost report can depend on: two databases calibrated
+  // from devices with equal fingerprints produce equal reports, even when
+  // a .tgt file is edited under an unchanged device name.
+  return HashBuilder{}
+      .str(dev.name)
+      .str(dev.family)
+      .u64(dev.resources.aluts)
+      .u64(dev.resources.regs)
+      .u64(dev.resources.bram_bits)
+      .u64(dev.resources.dsps)
+      .f64(dev.fmax_hz)
+      .f64(dev.default_freq_hz)
+      .f64(dev.dram.io_clock_hz)
+      .f64(dev.dram.bus_bytes)
+      .f64(dev.dram.burst_bytes)
+      .f64(dev.dram.row_bytes)
+      .f64(dev.dram.row_miss_cycles)
+      .f64(dev.dram.setup_seconds)
+      .f64(dev.dram_peak_bw)
+      .f64(dev.host.peak_bw)
+      .f64(dev.host.efficiency)
+      .f64(dev.host.latency_seconds)
+      .u64(dev.word_bytes)
+      .f64(dev.shell_overhead)
+      .value();
+}
+
 DeviceCostDb DeviceCostDb::calibrate(const target::DeviceDesc& device) {
   // Calibration is the probe/measure phase: a fault here (the failpoint
   // stands in for a flaky probe run) must surface before any DSE work
@@ -95,6 +124,7 @@ DeviceCostDb DeviceCostDb::calibrate(const target::DeviceDesc& device) {
   const auto t0 = std::chrono::steady_clock::now();
   DeviceCostDb db;
   db.device_ = device;
+  db.fingerprint_ = device_fingerprint(device);
 
   for (int i = 0; i < ir::kNumOpcodes; ++i) {
     const auto op = static_cast<Opcode>(i);
@@ -446,6 +476,7 @@ tytra::Result<DeviceCostDb> DeviceCostDb::load(binio::Decoder& dec) {
   if (!dec.ok()) {
     return make_error("calibration snapshot: " + dec.error());
   }
+  db.fingerprint_ = device_fingerprint(db.device_);
   return db;
 }
 

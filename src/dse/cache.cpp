@@ -9,7 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "tytra/ir/printer.hpp"
 #include "tytra/ir/structural_hash.hpp"
 #include "tytra/support/failpoint.hpp"
 #include "tytra/support/hash.hpp"
@@ -19,40 +18,11 @@ namespace tytra::dse {
 
 namespace {
 
-/// Every DeviceDesc field a cost report can depend on — two databases
-/// calibrated from devices with equal fingerprints produce equal reports,
-/// even when a .tgt file is edited under an unchanged device name.
-/// Calibration is deterministic in the device description, so this
-/// fingerprint pins every law and table the cost model reads; nothing
-/// else about the database needs to enter the cache identity.
-void hash_device(HashBuilder& h, const target::DeviceDesc& dev) {
-  h.str(dev.name)
-      .str(dev.family)
-      .u64(dev.resources.aluts)
-      .u64(dev.resources.regs)
-      .u64(dev.resources.bram_bits)
-      .u64(dev.resources.dsps)
-      .f64(dev.fmax_hz)
-      .f64(dev.default_freq_hz)
-      .f64(dev.dram.io_clock_hz)
-      .f64(dev.dram.bus_bytes)
-      .f64(dev.dram.burst_bytes)
-      .f64(dev.dram.row_bytes)
-      .f64(dev.dram.row_miss_cycles)
-      .f64(dev.dram.setup_seconds)
-      .f64(dev.dram_peak_bw)
-      .f64(dev.host.peak_bw)
-      .f64(dev.host.efficiency)
-      .f64(dev.host.latency_seconds)
-      .u64(dev.word_bytes)
-      .f64(dev.shell_overhead);
-}
-
 /// The 128-bit identity of a (design, database) pair, streamed: the
-/// device fingerprint (`dev`, hashed once per lookup by the callers)
-/// seeds both digest halves, then the module structure is walked once
-/// into each. No strings are built, no parameters are extracted — one
-/// allocation-free traversal.
+/// device fingerprint (`dev`, computed once per database) seeds both
+/// digest halves, then the module structure is walked once into each. No
+/// strings are built, no parameters are extracted — one allocation-free
+/// traversal.
 ir::StructuralDigest design_digest(const ir::Module& module,
                                    std::uint64_t dev) {
   const ir::StructuralDigest structure = ir::structural_digest(module);
@@ -60,27 +30,10 @@ ir::StructuralDigest design_digest(const ir::Module& module,
           HashBuilder{}.u64(dev).u64(structure.check).value()};
 }
 
-/// The human-auditable identity text of an entry, materialized only when
-/// an entry is first inserted (never on the lookup path): the printed IR
-/// — the canonical structural identity the digest condenses — plus the
-/// device fingerprint.
-std::string design_identity(const ir::Module& module, std::uint64_t dev) {
-  std::string identity = ir::print_module(module);
-  identity += '\x1f';
-  identity += std::to_string(dev);
-  return identity;
-}
-
 }  // namespace
 
-std::uint64_t device_fingerprint(const target::DeviceDesc& dev) {
-  HashBuilder h;
-  hash_device(h, dev);
-  return h.value();
-}
-
 std::uint64_t design_key(const ir::Module& module, const cost::DeviceCostDb& db) {
-  return design_digest(module, device_fingerprint(db.device())).key;
+  return design_digest(module, db.fingerprint()).key;
 }
 
 namespace {
@@ -124,7 +77,7 @@ class AtomicTable {
   /// Publishes (key, check, value) unless an equal identity is already
   /// resident — another writer won the race, or the caller probed a
   /// retired slot array — and returns the resident node either way.
-  const Node* insert(std::uint64_t key, std::uint64_t check, V&& value) {
+  const Node* insert(std::uint64_t key, std::uint64_t check, V value) {
     Shard& shard = shards_[key % shards_.size()];
     MutexLock lock(shard.mu);
     Slots* t = shard.live.load(std::memory_order_relaxed);
@@ -239,23 +192,17 @@ class AtomicTable {
 }  // namespace
 
 struct CostCache::Impl {
-  /// Structural-level entry: the ground-truth identity record.
-  struct StructuralValue {
-    /// Full identity text (printed IR + device fingerprint), built once
-    /// on insert: the byte-level ground truth the digest condenses.
-    /// Debug builds verify it on every hit; release lookups never read
-    /// it, keeping hits allocation-free at ~1 printed module of memory
-    /// per cached design.
-    std::string identity;
-    cost::CostReport report;
-  };
+  /// Structural level: design digest -> the one stored report per design.
+  using StructuralTable = AtomicTable<cost::CostReport>;
+  using StructuralNode = StructuralTable::Node;
 
-  /// Variant-level entry: the design digest it was inserted under (the
-  /// cross-check target for debug builds) plus the memoized report.
-  struct VariantValue {
-    ir::StructuralDigest design;
-    cost::CostReport report;
-  };
+  /// Variant level: variant key -> the structural entry its design
+  /// resolved to. Structural nodes are immutable and live until clear(),
+  /// which drops both levels together, so a variant hit is still one
+  /// probe (plus a pointer hop) and a design's report is never stored
+  /// twice. The node's (key, check) is the digest debug builds
+  /// cross-check a hit against.
+  using VariantTable = AtomicTable<const StructuralNode*>;
 
   /// Padded per-shard counters so hit accounting does not ping-pong one
   /// cache line between warm workers.
@@ -270,17 +217,18 @@ struct CostCache::Impl {
 
   Counter& counter(std::uint64_t key) { return counters[key % counters.size()]; }
 
-  /// Structural-level lookup with the device fingerprint and digest
-  /// already in hand, so callers that need them for their own bookkeeping
-  /// (the variant-level insert) hash the device and walk the module once.
+  /// Structural-level lookup with the digest already in hand, so the
+  /// variant-level caller walks the module once. `resident` (when
+  /// non-null) receives the entry now holding the design's report: the
+  /// one found, the one inserted, or null when the insert failed.
   cost::CostReport cost_structural(const ir::Module& module,
                                    const cost::DeviceCostDb& db,
-                                   std::uint64_t dev,
                                    const ir::StructuralDigest& digest,
-                                   bool* was_hit);
+                                   bool* was_hit,
+                                   const StructuralNode** resident = nullptr);
 
-  AtomicTable<StructuralValue> structural;
-  AtomicTable<VariantValue> variant;
+  StructuralTable structural;
+  VariantTable variant;
   std::vector<Counter> counters;
 
 #ifndef NDEBUG
@@ -324,15 +272,13 @@ CostCache::~CostCache() = default;
 
 cost::CostReport CostCache::Impl::cost_structural(
     const ir::Module& module, const cost::DeviceCostDb& db,
-    std::uint64_t dev, const ir::StructuralDigest& digest, bool* was_hit) {
-  if (const auto* node = structural.find(digest.key, digest.check)) {
-    // Debug builds exercise the byte-level fallback the digest condenses:
-    // a digest match must mean byte-identical identity text. Release hits
-    // never materialize the probe's identity.
-    assert(node->value.identity == design_identity(module, dev));
+    const ir::StructuralDigest& digest, bool* was_hit,
+    const StructuralNode** resident) {
+  if (const StructuralNode* node = structural.find(digest.key, digest.check)) {
     counter(digest.key).hits.fetch_add(1, std::memory_order_relaxed);
     if (was_hit) *was_hit = true;
-    return node->value.report;
+    if (resident) *resident = node;
+    return node->value;
   }
   counter(digest.key).misses.fetch_add(1, std::memory_order_relaxed);
   if (was_hit) *was_hit = false;
@@ -341,16 +287,15 @@ cost::CostReport CostCache::Impl::cost_structural(
   // built once and shared across every model stage.
   const ir::AnalysisSummary summary = ir::summarize(module);
   cost::CostReport report = cost::cost_design(module, db, summary);
-  // First insert materializes the identity text (collision fallback /
-  // audit record); hits never do. A failed insert (the `cache.insert`
-  // failpoint stands in for allocation/grow failure) degrades to a lost
-  // memoization, never a lost or torn result: the report was already
-  // computed, and an entry is only ever published whole.
+  // A failed insert (the `cache.insert` failpoint stands in for
+  // allocation/grow failure) degrades to a lost memoization, never a lost
+  // or torn result: the report was already computed, and an entry is only
+  // ever published whole.
+  const StructuralNode* node = nullptr;
   if (!failpoint::fire("cache.insert")) {
-    structural.insert(
-        digest.key, digest.check,
-        Impl::StructuralValue{design_identity(module, dev), report});
+    node = structural.insert(digest.key, digest.check, report);
   }
+  if (resident) *resident = node;
   return report;
 }
 
@@ -359,8 +304,8 @@ cost::CostReport CostCache::cost(const ir::Module& module,
 #ifndef NDEBUG
   Impl::ReaderGuard guard(impl_->active_readers);
 #endif
-  const std::uint64_t dev = device_fingerprint(db.device());
-  return impl_->cost_structural(module, db, dev, design_digest(module, dev),
+  return impl_->cost_structural(module, db,
+                                design_digest(module, db.fingerprint()),
                                 was_hit);
 }
 
@@ -371,9 +316,7 @@ cost::CostReport CostCache::cost(const frontend::Variant& variant,
 #ifndef NDEBUG
   Impl::ReaderGuard guard(impl_->active_readers);
 #endif
-  // One device hash serves the whole lookup: the variant-key fold, and on
-  // a miss the structural digest and the identity text.
-  const std::uint64_t dev = device_fingerprint(db.device());
+  const std::uint64_t dev = db.fingerprint();
   const std::optional<VariantKey> vk = lowerer.key(variant);
   VariantKey full{};
   if (vk) {
@@ -382,13 +325,15 @@ cost::CostReport CostCache::cost(const frontend::Variant& variant,
     full = VariantKey{HashBuilder{}.u64(dev).u64(vk->key).value(),
                       HashBuilder{}.u64(dev).u64(vk->check).value()};
     if (const auto* node = impl_->variant.find(full.key, full.check)) {
+      const Impl::StructuralNode& design = *node->value;
 #ifndef NDEBUG
       // Two-level cross-check: the lowerer's identity promise must agree
-      // with the authoritative structural digest the key was inserted
-      // under. Debug builds pay the lowering this level exists to skip.
+      // with the authoritative structural digest the key resolved to.
+      // Debug builds pay the lowering this level exists to skip.
       {
         ir::Module check_module = lowerer.lower(variant, arena);
-        assert(design_digest(check_module, dev) == node->value.design);
+        assert((design_digest(check_module, dev) ==
+                ir::StructuralDigest{design.key, design.check}));
         if (arena) arena->recycle(std::move(check_module));
       }
 #endif
@@ -396,21 +341,21 @@ cost::CostReport CostCache::cost(const frontend::Variant& variant,
       c.hits.fetch_add(1, std::memory_order_relaxed);
       c.variant_hits.fetch_add(1, std::memory_order_relaxed);
       if (level) *level = HitLevel::Variant;
-      return node->value.report;
+      return design.value;
     }
   }
   // Variant-key miss (or key-less lowerer): lower and resolve at the
   // structural level, then memoize the key so the next warm lookup skips
-  // lowering entirely. The digest is computed once and shared between
-  // the structural lookup and the variant-level insert.
+  // lowering entirely. The key refers to the structural entry, so it is
+  // only inserted when that entry exists.
   ir::Module module = lowerer.lower(variant, arena);
-  const ir::StructuralDigest digest = design_digest(module, dev);
   bool structural_hit = false;
+  const Impl::StructuralNode* design = nullptr;
   cost::CostReport report =
-      impl_->cost_structural(module, db, dev, digest, &structural_hit);
-  if (vk && !failpoint::fire("cache.insert")) {
-    impl_->variant.insert(full.key, full.check,
-                          Impl::VariantValue{digest, report});
+      impl_->cost_structural(module, db, design_digest(module, dev),
+                             &structural_hit, &design);
+  if (vk && design != nullptr && !failpoint::fire("cache.insert")) {
+    impl_->variant.insert(full.key, full.check, design);
   }
   if (arena) arena->recycle(std::move(module));
   if (level) *level = structural_hit ? HitLevel::Structural : HitLevel::Miss;
@@ -448,18 +393,19 @@ void CostCache::clear() {
 
 void CostCache::dump(binio::Encoder& structural_out,
                      binio::Encoder& variant_out) const {
-  impl_->structural.for_each([&](const auto& node) {
-    structural_out.u64(node.key);
-    structural_out.u64(node.check);
-    structural_out.str(node.value.identity);
-    cost::save_report(structural_out, node.value.report);
-  });
+  // Variant level first: a variant entry is published only after its
+  // structural entry, so under concurrent inserts every sampled variant
+  // entry's design is in the structural sample taken after it.
   impl_->variant.for_each([&](const auto& node) {
     variant_out.u64(node.key);
     variant_out.u64(node.check);
-    variant_out.u64(node.value.design.key);
-    variant_out.u64(node.value.design.check);
-    cost::save_report(variant_out, node.value.report);
+    variant_out.u64(node.value->key);
+    variant_out.u64(node.value->check);
+  });
+  impl_->structural.for_each([&](const auto& node) {
+    structural_out.u64(node.key);
+    structural_out.u64(node.check);
+    cost::save_report(structural_out, node.value);
   });
 }
 
@@ -470,28 +416,31 @@ Result<CostCache::LoadCounts> CostCache::load(binio::Decoder& structural_in,
   while (structural_in.ok() && structural_in.remaining() > 0) {
     const std::uint64_t key = structural_in.u64();
     const std::uint64_t check = structural_in.u64();
-    std::string identity = structural_in.str();
     cost::CostReport report = cost::load_report(structural_in);
     if (!structural_in.ok()) break;
-    impl_->structural.insert(
-        key, check,
-        Impl::StructuralValue{std::move(identity), std::move(report)});
+    impl_->structural.insert(key, check, std::move(report));
     ++counts.structural;
   }
   if (!structural_in.ok()) {
     return make_error("cost-cache snapshot (structural level): " +
                       structural_in.error());
   }
+  // The structural level is complete, so every variant entry's design
+  // reference resolves against it; one that does not is corruption.
   while (variant_in.ok() && variant_in.remaining() > 0) {
     const std::uint64_t key = variant_in.u64();
     const std::uint64_t check = variant_in.u64();
-    ir::StructuralDigest design;
-    design.key = variant_in.u64();
-    design.check = variant_in.u64();
-    cost::CostReport report = cost::load_report(variant_in);
+    const std::uint64_t ref_key = variant_in.u64();
+    const std::uint64_t ref_check = variant_in.u64();
     if (!variant_in.ok()) break;
-    impl_->variant.insert(key, check,
-                          Impl::VariantValue{design, std::move(report)});
+    const Impl::StructuralNode* design =
+        impl_->structural.find(ref_key, ref_check);
+    if (design == nullptr) {
+      variant_in.fail("variant entry refers to a design missing from the "
+                      "structural level");
+      break;
+    }
+    impl_->variant.insert(key, check, design);
     ++counts.variant;
   }
   if (!variant_in.ok()) {

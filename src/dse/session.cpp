@@ -19,6 +19,8 @@
 #include <thread>
 #include <tuple>
 
+#include <sys/stat.h>
+
 #include "tytra/support/failpoint.hpp"
 #include "tytra/support/json.hpp"
 #include "tytra/support/strings.hpp"
@@ -525,9 +527,11 @@ constexpr std::uint32_t kSecVariant = 3;
 constexpr std::uint32_t kSecCalibration = 4;
 
 /// Version of the *payload* schemas inside the sections (report encoding,
-/// digest scheme, calibration layout). Bump on any change to those — the
-/// container format version in binio.hpp only covers the framing.
-constexpr std::uint32_t kSnapshotPayloadVersion = 1;
+/// digest scheme, entry layout, calibration layout). Bump on any change to
+/// those — the container format version in binio.hpp only covers the
+/// framing. Version 2 dropped the printed-IR identity text from structural
+/// entries and made variant entries refer to their structural entry.
+constexpr std::uint32_t kSnapshotPayloadVersion = 2;
 
 /// Opens a snapshot file and checks its container and meta section.
 Result<binio::Reader> open_snapshot(const std::string& path) {
@@ -550,12 +554,12 @@ Result<binio::Reader> open_snapshot(const std::string& path) {
 }
 
 /// Decodes the calibration section (when present), handing each stored
-/// (device name, fingerprint, database) to `take`; the first defect is
-/// returned.
+/// (device name, database) to `take`; the first defect is returned. The
+/// fingerprint stored beside a database must be the one its device
+/// description hashes to.
 std::optional<Diag> decode_calibrations(
     const binio::Reader& reader,
-    const std::function<void(std::string, std::uint64_t, cost::DeviceCostDb)>&
-        take) {
+    const std::function<void(std::string, cost::DeviceCostDb)>& take) {
   if (!reader.has_section(kSecCalibration)) return std::nullopt;
   binio::Decoder calib(reader.section(kSecCalibration));
   const std::uint64_t count = calib.u64();
@@ -566,7 +570,11 @@ std::optional<Diag> decode_calibrations(
     auto db = cost::DeviceCostDb::load(calib);
     if (!db.ok()) return db.diag();
     if (!calib.ok()) return make_error("snapshot: " + calib.error());
-    take(std::move(name), fingerprint, std::move(db).take());
+    if (db.value().fingerprint() != fingerprint) {
+      return make_error("snapshot: calibration '" + name +
+                        "' does not match its stored fingerprint");
+    }
+    take(std::move(name), std::move(db).take());
   }
   if (!calib.at_end()) return make_error("snapshot: " + calib.error());
   return std::nullopt;
@@ -610,18 +618,25 @@ const cost::DeviceCostDb& Session::add_device(const target::DeviceDesc& desc) {
   // different preset under the same name) is dropped and recalibrated,
   // never trusted.
   const auto it = restored_.find(desc.name);
-  if (it != restored_.end()) {
-    const bool fresh = it->second.fingerprint == device_fingerprint(desc);
-    cost::DeviceCostDb db = fresh ? std::move(it->second.db)
-                                  : cost::DeviceCostDb::calibrate(desc);
+  if (it != restored_.end() &&
+      it->second.fingerprint() == device_fingerprint(desc)) {
+    cost::DeviceCostDb db = std::move(it->second);
     restored_.erase(it);
-    return add_device(desc.name, std::move(db));
+    return insert_device(desc.name, std::move(db));
   }
-  return add_device(desc.name, cost::DeviceCostDb::calibrate(desc));
+  cost::DeviceCostDb db = cost::DeviceCostDb::calibrate(desc);
+  if (it != restored_.end()) restored_.erase(it);
+  return add_device(desc.name, std::move(db));
 }
 
 const cost::DeviceCostDb& Session::add_device(std::string name,
                                               cost::DeviceCostDb db) {
+  loaded_.reset();  // a database the loaded snapshot does not hold
+  return insert_device(std::move(name), std::move(db));
+}
+
+const cost::DeviceCostDb& Session::insert_device(std::string name,
+                                                 cost::DeviceCostDb db) {
   if (name.empty()) {
     throw std::invalid_argument("dse::Session: device name must be non-empty");
   }
@@ -649,10 +664,27 @@ std::string_view job_state_name(JobState state) {
   return "unknown";
 }
 
+std::optional<Session::FileStamp> Session::stamp_of(const std::string& path) {
+  struct stat st {};
+  if (::stat(path.c_str(), &st) != 0) return std::nullopt;
+  return FileStamp{static_cast<std::uint64_t>(st.st_dev),
+                   static_cast<std::uint64_t>(st.st_ino),
+                   static_cast<std::uint64_t>(st.st_size),
+                   static_cast<std::int64_t>(st.st_mtim.tv_sec) * 1000000000 +
+                       st.st_mtim.tv_nsec};
+}
+
 Result<Session::SnapshotStats> Session::load_snapshot(const std::string& path) {
+  loaded_.reset();
   if (failpoint::fire("snapshot.load")) {
     return make_error("snapshot: injected fault at failpoint 'snapshot.load'");
   }
+  // Only a load into an empty session leaves it holding exactly what the
+  // file holds; the stamps around the read tie that content to one file.
+  const bool empty = cache_ && cache_->size() == 0 &&
+                     cache_->variant_size() == 0 && devices_.empty() &&
+                     restored_.empty();
+  const std::optional<FileStamp> before = stamp_of(path);
   auto opened = open_snapshot(path);
   if (!opened.ok()) return opened.diag();
   const binio::Reader reader = std::move(opened).take();
@@ -675,13 +707,16 @@ Result<Session::SnapshotStats> Session::load_snapshot(const std::string& path) {
     stats.variant_entries = counts.value().variant;
   }
   const auto failed = decode_calibrations(
-      reader, [&](std::string name, std::uint64_t fingerprint,
-                  cost::DeviceCostDb db) {
-        restored_.insert_or_assign(
-            std::move(name), RestoredCalibration{fingerprint, std::move(db)});
+      reader, [&](std::string name, cost::DeviceCostDb db) {
+        restored_.insert_or_assign(std::move(name), std::move(db));
         ++stats.calibrations;
       });
   if (failed) return rollback(*failed);
+
+  if (empty && before && before == stamp_of(path)) {
+    loaded_ = LoadedSnapshot{path, *before, cache_->size(),
+                             cache_->variant_size()};
+  }
   return stats;
 }
 
@@ -694,6 +729,14 @@ Result<std::uint64_t> Session::save_snapshot(const std::string& path) {
   }
   if (failpoint::fire("snapshot.save")) {
     return make_error("snapshot: injected fault at failpoint 'snapshot.save'");
+  }
+  // Nothing added since `target` was loaded, and it is still that file:
+  // rewriting it would only spend the encode and the fsyncs.
+  if (loaded_ && loaded_->path == target &&
+      cache_->size() == loaded_->structural &&
+      cache_->variant_size() == loaded_->variant &&
+      stamp_of(target) == loaded_->stamp) {
+    return loaded_->stamp.size;
   }
 
   binio::Writer writer;
@@ -711,21 +754,21 @@ Result<std::uint64_t> Session::save_snapshot(const std::string& path) {
   // that only exercised one device must not drop the others' calibration
   // work); a name in both tables keeps the live database.
   std::size_t unclaimed = 0;
-  for (const auto& [name, rc] : restored_) {
+  for (const auto& [name, db] : restored_) {
     if (devices_.find(name) == devices_.end()) ++unclaimed;
   }
   binio::Encoder calib;
   calib.u64(devices_.size() + unclaimed);
   for (const auto& [name, db] : devices_) {
     calib.str(name);
-    calib.u64(device_fingerprint(db.device()));
+    calib.u64(db.fingerprint());
     db.save(calib);
   }
-  for (const auto& [name, rc] : restored_) {
+  for (const auto& [name, db] : restored_) {
     if (devices_.find(name) != devices_.end()) continue;
     calib.str(name);
-    calib.u64(rc.fingerprint);
-    rc.db.save(calib);
+    calib.u64(db.fingerprint());
+    db.save(calib);
   }
   writer.add_section(kSecCalibration, calib.take());
 
@@ -753,9 +796,8 @@ Result<SnapshotSummary> verify_snapshot(const std::string& path) {
   out.variant_entries = counts.value().variant;
 
   const auto failed = decode_calibrations(
-      reader, [&](std::string name, std::uint64_t fingerprint,
-                  cost::DeviceCostDb /*db*/) {
-        out.calibrations.emplace_back(std::move(name), fingerprint);
+      reader, [&](std::string name, cost::DeviceCostDb db) {
+        out.calibrations.emplace_back(std::move(name), db.fingerprint());
       });
   if (failed) return *failed;
   return out;

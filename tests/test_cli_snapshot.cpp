@@ -6,6 +6,7 @@
 // one-line stderr diagnostic and no stdout).
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -13,6 +14,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+
+#include "tytra/support/binio.hpp"
 
 namespace {
 
@@ -39,13 +42,15 @@ void write_file(const std::string& path, const std::string& bytes) {
 /// Runs tytra-cc with `args`, capturing stdout/stderr through temp files.
 /// Each invocation is a fresh process: warm-start tests exercise the real
 /// save-in-one-process, load-in-another path.
-RunResult run_cc(const std::string& args) {
+RunResult run_cc(const std::string& args, const std::string& failpoints = {}) {
   static int counter = 0;
   const std::string tag = "cli_snap_" + std::to_string(counter++);
   const std::string out_path = tag + ".out";
   const std::string err_path = tag + ".err";
-  const std::string cmd = std::string(TYTRA_CC_BIN) + " " + args + " > " +
-                          out_path + " 2> " + err_path;
+  std::string cmd;
+  if (!failpoints.empty()) cmd += "TYTRA_FAILPOINTS='" + failpoints + "' ";
+  cmd += std::string(TYTRA_CC_BIN) + " " + args + " > " + out_path + " 2> " +
+         err_path;
   const int status = std::system(cmd.c_str());
   RunResult r;
   r.exit_code = status < 0 ? status : WEXITSTATUS(status);
@@ -292,6 +297,89 @@ TEST(CliSnapshot, CorruptSnapshotDegradesToColdExitZero) {
   // next run warm-starts again (self-healing, not permanent cold).
   const RunResult healed = run_cc("cache verify " + snap.path);
   EXPECT_EQ(healed.exit_code, 0) << healed.err;
+}
+
+/// A hand-built payload-v1 snapshot: a valid container whose meta section
+/// names the previous payload schema.
+void write_v1_snapshot(const std::string& path) {
+  tytra::binio::Writer w;
+  tytra::binio::Encoder meta;
+  meta.u32(1);
+  w.add_section(1, meta.take());
+  for (const std::uint32_t id : {2u, 3u, 4u}) w.add_section(id, {});
+  ASSERT_TRUE(w.write(path).ok());
+}
+
+TEST(CliSnapshot, PayloadV1SnapshotColdStartsAndFailsVerify) {
+  TempSnap snap("payload_v1");
+  TempSnap fresh("payload_v1_cold");
+  const std::string args = "explore sor --nd 16 --pareto --snapshot ";
+  const RunResult cold = run_cc(args + fresh.path);
+  ASSERT_EQ(cold.exit_code, 0) << cold.err;
+
+  write_v1_snapshot(snap.path);
+  const RunResult verify = run_cc("cache verify " + snap.path);
+  EXPECT_EQ(verify.exit_code, 1);
+  EXPECT_TRUE(verify.out.empty()) << verify.out;
+  EXPECT_NE(verify.err.find("payload version 1 unsupported (this build reads "
+                            "2)"),
+            std::string::npos)
+      << verify.err;
+
+  const RunResult degraded = run_cc(args + snap.path);
+  EXPECT_EQ(degraded.exit_code, 0) << degraded.err;
+  EXPECT_EQ(strip_banner(degraded.out), strip_banner(cold.out));
+  EXPECT_EQ(std::count(degraded.err.begin(), degraded.err.end(), '\n'), 1)
+      << degraded.err;
+  EXPECT_NE(degraded.err.find("snapshot-load path='" + snap.path + "'"),
+            std::string::npos)
+      << degraded.err;
+  EXPECT_NE(degraded.err.find("action=cold-start"), std::string::npos)
+      << degraded.err;
+  // The cold run saved a current snapshot over the old one.
+  EXPECT_EQ(run_cc("cache verify " + snap.path).exit_code, 0);
+}
+
+/// (inode, mtime) of a file: a rewrite through tmp + rename changes the
+/// inode.
+std::pair<unsigned long long, long long> inode_mtime(const std::string& path) {
+  struct stat st {};
+  EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+  return {static_cast<unsigned long long>(st.st_ino),
+          static_cast<long long>(st.st_mtim.tv_sec) * 1000000000LL +
+              st.st_mtim.tv_nsec};
+}
+
+TEST(CliSnapshot, WarmRunThatAddsNothingLeavesTheSnapshotUntouched) {
+  TempSnap snap("rewrite_skip");
+  const std::string args =
+      "campaign --kernel sor --kernel hotspot --nd 16 --snapshot " + snap.path;
+  const RunResult cold = run_cc(args);
+  ASSERT_EQ(cold.exit_code, 0) << cold.err;
+  const std::string bytes = read_file(snap.path);
+  const auto stamp = inode_mtime(snap.path);
+
+  const RunResult warm = run_cc(args);
+  ASSERT_EQ(warm.exit_code, 0) << warm.err;
+  EXPECT_NE(warm.out.find("/ 0 misses"), std::string::npos) << warm.out;
+  EXPECT_EQ(read_file(snap.path), bytes);
+  EXPECT_EQ(inode_mtime(snap.path), stamp)
+      << "a warm run that added nothing rewrote the snapshot";
+
+  // The save failpoint fires before the skip: a no-op save still fails
+  // loudly, before anything reaches stdout.
+  const RunResult faulted = run_cc(args, "snapshot.save=100%");
+  EXPECT_EQ(faulted.exit_code, 1) << faulted.err;
+  EXPECT_TRUE(faulted.out.empty()) << faulted.out;
+  EXPECT_NE(faulted.err.find("injected fault"), std::string::npos)
+      << faulted.err;
+
+  // A run that adds entries (a new --nd) rewrites the file.
+  const RunResult grown = run_cc(args + " --nd 24");
+  ASSERT_EQ(grown.exit_code, 0) << grown.err;
+  EXPECT_NE(inode_mtime(snap.path).first, stamp.first)
+      << "new entries were not written";
+  EXPECT_GT(read_file(snap.path).size(), bytes.size());
 }
 
 // ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@
 // start, and the debug-build quiescence guard on CostCache::clear().
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -17,8 +19,10 @@
 
 #include "tytra/dse/session.hpp"
 #include "tytra/frontend/transform.hpp"
+#include "tytra/ir/printer.hpp"
 #include "tytra/kernels/registry.hpp"
 #include "tytra/support/binio.hpp"
+#include "tytra/support/failpoint.hpp"
 
 namespace {
 
@@ -65,6 +69,75 @@ dse::Job registry_job(const char* workload, std::uint32_t nd) {
   auto job = Registry::instance().make_job(workload, nd);
   EXPECT_TRUE(job.ok()) << job.error_message();
   return std::move(job).take();
+}
+
+/// The identity stat(2) gives a file: a rewrite (tmp + rename) changes
+/// the inode, an in-place edit the size or mtime.
+struct FileStamp {
+  std::uint64_t ino{0};
+  std::int64_t mtime_ns{0};
+  std::uint64_t size{0};
+  bool operator==(const FileStamp&) const = default;
+};
+
+FileStamp stamp_of(const std::string& path) {
+  struct stat st {};
+  EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+  return {static_cast<std::uint64_t>(st.st_ino),
+          static_cast<std::int64_t>(st.st_mtim.tv_sec) * 1000000000 +
+              st.st_mtim.tv_nsec,
+          static_cast<std::uint64_t>(st.st_size)};
+}
+
+/// The snapshot container's section ids (see src/dse/session.cpp).
+constexpr std::uint32_t kSecMeta = 1;
+constexpr std::uint32_t kSecStructural = 2;
+constexpr std::uint32_t kSecVariant = 3;
+constexpr std::uint32_t kSecCalibration = 4;
+
+/// Writes a snapshot container by hand, checksums and all, so a test can
+/// place any payload behind a valid frame.
+void write_snapshot(const std::string& path, std::uint32_t payload_version,
+                    std::string structural, std::string variant,
+                    std::string calibration) {
+  binio::Writer w;
+  binio::Encoder meta;
+  meta.u32(payload_version);
+  w.add_section(kSecMeta, meta.take());
+  w.add_section(kSecStructural, std::move(structural));
+  w.add_section(kSecVariant, std::move(variant));
+  w.add_section(kSecCalibration, std::move(calibration));
+  auto written = w.write(path);
+  ASSERT_TRUE(written.ok()) << written.error_message();
+}
+
+/// A payload-v1 snapshot as the previous release wrote it: structural
+/// entries carried the printed IR, variant entries a second report.
+void write_v1_snapshot(const std::string& path) {
+  const auto& db = preset_db("stratix-v-gsd8");
+  dse::Job job = registry_job("sor", 8);
+  const ir::Module module =
+      job.lower->lower(frontend::baseline_variant(job.n));
+  const cost::CostReport report = cost::cost_design(module, db);
+  const std::uint64_t key = dse::design_key(module, db);
+  binio::Encoder structural;
+  structural.u64(key);
+  structural.u64(~key);
+  structural.str(ir::print_module(module) + '\x1f' +
+                 std::to_string(db.fingerprint()));
+  cost::save_report(structural, report);
+  binio::Encoder variant;
+  variant.u64(key ^ 1);
+  variant.u64(~key ^ 1);
+  variant.u64(key);
+  variant.u64(~key);
+  cost::save_report(variant, report);
+  binio::Encoder calib;
+  calib.u64(1);
+  calib.str(db.device().name);
+  calib.u64(db.fingerprint());
+  db.save(calib);
+  write_snapshot(path, 1, structural.take(), variant.take(), calib.take());
 }
 
 // ---------------------------------------------------------------------------
@@ -315,6 +388,61 @@ TEST(SnapshotPayloads, CalibrationRoundTripsExactly) {
   EXPECT_EQ(cost::format_report(via_loaded), cost::format_report(via_original));
 }
 
+TEST(SnapshotPayloads, StoredFingerprintEqualsTheDeviceFingerprint) {
+  // The database hashes its device once; every lookup reads that value,
+  // so it must be the one device_fingerprint() gives, after calibrate()
+  // and after a load.
+  for (const std::string& name : target::preset_names()) {
+    const cost::DeviceCostDb& db = preset_db(name);
+    EXPECT_EQ(db.fingerprint(), dse::device_fingerprint(db.device())) << name;
+    binio::Encoder enc;
+    db.save(enc);
+    binio::Decoder dec(enc.bytes());
+    auto loaded = cost::DeviceCostDb::load(dec);
+    ASSERT_TRUE(loaded.ok()) << loaded.error_message();
+    EXPECT_EQ(loaded.value().fingerprint(),
+              dse::device_fingerprint(loaded.value().device()))
+        << name;
+    EXPECT_EQ(loaded.value().fingerprint(), db.fingerprint()) << name;
+  }
+
+  // And through a Session snapshot: the restored database a second
+  // session claims.
+  TempPath tmp("fingerprint_session");
+  double calib_seconds = 0;
+  {
+    dse::SessionOptions so;
+    so.snapshot_path = tmp.path;
+    dse::Session session(so);
+    calib_seconds =
+        session.add_device(*target::preset("virtex7-690t")).calibration_seconds();
+    ASSERT_TRUE(session.save_snapshot().ok());
+  }
+  dse::SessionOptions so;
+  so.snapshot_path = tmp.path;
+  dse::Session session(so);
+  const auto& db = session.add_device(*target::preset("virtex7-690t"));
+  EXPECT_EQ(db.calibration_seconds(), calib_seconds) << "not restored";
+  EXPECT_EQ(db.fingerprint(), dse::device_fingerprint(db.device()));
+}
+
+TEST(SnapshotPayloads, CalibrationUnderAForeignFingerprintIsRejected) {
+  const auto& db = preset_db("fig15");
+  TempPath tmp("calib_fingerprint");
+  binio::Encoder calib;
+  calib.u64(1);
+  calib.str(db.device().name);
+  calib.u64(db.fingerprint() + 1);
+  db.save(calib);
+  write_snapshot(tmp.path, 2, {}, {}, calib.take());
+  auto verified = dse::verify_snapshot(tmp.path);
+  ASSERT_FALSE(verified.ok());
+  EXPECT_NE(verified.diag().message.find("does not match its stored "
+                                         "fingerprint"),
+            std::string::npos)
+      << verified.error_message();
+}
+
 TEST(SnapshotPayloads, TruncatedCalibrationIsADiagnosticNotACrash) {
   const auto& original = preset_db("fig15");
   binio::Encoder enc;
@@ -380,6 +508,61 @@ TEST(SnapshotCache, CorruptDumpFailsLoadWithoutCrashing) {
     auto counts = fresh_cache.load(s, v);
     EXPECT_FALSE(counts.ok()) << "truncated cache payload accepted";
   }
+}
+
+TEST(SnapshotCache, VariantEntriesReferToTheirStructuralEntry) {
+  // A variant entry is (key, check, design key, design check): four
+  // words, no second report.
+  const auto& db = preset_db("stratix-v-gsd8");
+  dse::Job job = registry_job("sor", 8);
+  dse::CostCache cache;
+  (void)cache.cost(frontend::baseline_variant(job.n), *job.lower, db);
+  ASSERT_EQ(cache.size(), 1u);
+  ASSERT_EQ(cache.variant_size(), 1u);
+  binio::Encoder structural;
+  binio::Encoder variant;
+  cache.dump(structural, variant);
+  EXPECT_EQ(variant.bytes().size(), 4 * sizeof(std::uint64_t));
+  binio::Decoder v(variant.bytes());
+  (void)v.u64();
+  (void)v.u64();
+  binio::Decoder s(structural.bytes());
+  EXPECT_EQ(v.u64(), s.u64());
+  EXPECT_EQ(v.u64(), s.u64());
+}
+
+/// A dump of one design at both levels, with the variant entry's design
+/// reference pointing at a digest the structural level does not hold.
+std::pair<std::string, std::string> dangling_dump() {
+  const auto& db = preset_db("stratix-v-gsd8");
+  dse::Job job = registry_job("sor", 8);
+  dse::CostCache cache;
+  (void)cache.cost(frontend::baseline_variant(job.n), *job.lower, db);
+  binio::Encoder structural;
+  binio::Encoder variant;
+  cache.dump(structural, variant);
+  binio::Decoder v(variant.bytes());
+  binio::Encoder dangling;
+  dangling.u64(v.u64());
+  dangling.u64(v.u64());
+  dangling.u64(v.u64());
+  dangling.u64(v.u64() ^ 1);
+  EXPECT_TRUE(v.at_end());
+  return {structural.take(), dangling.take()};
+}
+
+TEST(SnapshotCache, DanglingVariantReferenceFailsLoad) {
+  const auto [structural, variant] = dangling_dump();
+  dse::CostCache cache;
+  binio::Decoder s(structural);
+  binio::Decoder v(variant);
+  auto counts = cache.load(s, v);
+  ASSERT_FALSE(counts.ok()) << "a variant entry without its design loaded";
+  EXPECT_NE(counts.diag().message.find("variant level"), std::string::npos)
+      << counts.error_message();
+  EXPECT_NE(counts.diag().message.find("missing from the structural level"),
+            std::string::npos)
+      << counts.error_message();
 }
 
 // ---------------------------------------------------------------------------
@@ -572,6 +755,195 @@ TEST(SessionSnapshot, VerifySnapshotAcceptsGoodRejectsCorrupt) {
   bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x10);
   write_file_bytes(tmp.path, bytes);
   EXPECT_FALSE(dse::verify_snapshot(tmp.path).ok());
+}
+
+/// Runs `run_with_snapshot` with stderr captured; returns the render and
+/// the captured text.
+std::pair<SweepRender, std::string> run_capturing_stderr(
+    const std::string& snapshot_path) {
+  ::testing::internal::CaptureStderr();
+  SweepRender r =
+      run_with_snapshot(snapshot_path, "sor", 8, "stratix-v-gsd8", false);
+  return {std::move(r), ::testing::internal::GetCapturedStderr()};
+}
+
+TEST(SessionSnapshot, PayloadV1FileColdStartsWithOneWarning) {
+  TempPath tmp("session_v1");
+  write_v1_snapshot(tmp.path);
+  const SweepRender cold = run_with_snapshot("", "sor", 8, "stratix-v-gsd8",
+                                             false);
+  const auto [degraded, err] = run_capturing_stderr(tmp.path);
+  EXPECT_EQ(degraded.sweep, cold.sweep);
+  EXPECT_EQ(degraded.pareto, cold.pareto);
+  EXPECT_EQ(degraded.stats.hits, 0u);
+  EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+  EXPECT_NE(err.find("tytra: warning: snapshot-load path='" + tmp.path + "'"),
+            std::string::npos)
+      << err;
+  EXPECT_NE(err.find("payload version 1 unsupported (this build reads 2)"),
+            std::string::npos)
+      << err;
+  EXPECT_NE(err.find("action=cold-start"), std::string::npos) << err;
+  auto verified = dse::verify_snapshot(tmp.path);
+  ASSERT_FALSE(verified.ok());
+  EXPECT_NE(verified.diag().message.find("payload version 1 unsupported"),
+            std::string::npos);
+}
+
+TEST(SessionSnapshot, DanglingVariantReferenceRollsBackToCold) {
+  TempPath tmp("session_dangling");
+  const auto [structural, variant] = dangling_dump();
+  write_snapshot(tmp.path, 2, structural, variant, {});
+  {
+    dse::Session session;
+    auto loaded = session.load_snapshot(tmp.path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_NE(loaded.diag().message.find("missing from the structural level"),
+              std::string::npos)
+        << loaded.error_message();
+    EXPECT_EQ(session.cache()->size(), 0u) << "load did not roll back";
+    EXPECT_EQ(session.cache()->variant_size(), 0u);
+  }
+  const SweepRender cold = run_with_snapshot("", "sor", 8, "stratix-v-gsd8",
+                                             false);
+  const auto [degraded, err] = run_capturing_stderr(tmp.path);
+  EXPECT_EQ(degraded.sweep, cold.sweep);
+  EXPECT_EQ(degraded.stats.hits, 0u)
+      << "entries of a rolled-back load answered lookups";
+  EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+  EXPECT_NE(err.find("action=cold-start"), std::string::npos) << err;
+}
+
+// ---------------------------------------------------------------------------
+// Skipping the rewrite of an unchanged snapshot
+// ---------------------------------------------------------------------------
+
+/// A session warm from `path`, with sor nd=8 on stratix-v-gsd8 explored.
+std::unique_ptr<dse::Session> warm_session(const std::string& path,
+                                           std::uint32_t nd = 8) {
+  dse::SessionOptions so;
+  so.num_threads = 1;
+  so.snapshot_path = path;
+  auto session = std::make_unique<dse::Session>(so);
+  session->add_device(*target::preset("stratix-v-gsd8"));
+  dse::Job job = registry_job("sor", nd);
+  (void)session->explore(job);
+  return session;
+}
+
+TEST(SnapshotRewrite, SaveThatAddsNothingLeavesTheFileUntouched) {
+  TempPath tmp("rewrite_noop");
+  ASSERT_TRUE(warm_session(tmp.path)->save_snapshot().ok());
+  const std::string bytes = read_file_bytes(tmp.path);
+  const FileStamp before = stamp_of(tmp.path);
+
+  auto session = warm_session(tmp.path);
+  ASSERT_EQ(session->cache()->stats().misses, 0u);
+  auto saved = session->save_snapshot();
+  ASSERT_TRUE(saved.ok()) << saved.error_message();
+  EXPECT_EQ(saved.value(), bytes.size()) << "the existing size is returned";
+  EXPECT_EQ(stamp_of(tmp.path), before) << "an unchanged snapshot was rewritten";
+  EXPECT_EQ(read_file_bytes(tmp.path), bytes);
+  std::ifstream leftover(tmp.path + ".tmp");
+  EXPECT_FALSE(leftover.good());
+}
+
+TEST(SnapshotRewrite, NewEntriesOrCalibrationsAreWritten) {
+  TempPath tmp("rewrite_grow");
+  ASSERT_TRUE(warm_session(tmp.path)->save_snapshot().ok());
+  const FileStamp before = stamp_of(tmp.path);
+
+  // A new NDRange adds cache entries.
+  ASSERT_TRUE(warm_session(tmp.path, 12)->save_snapshot().ok());
+  const FileStamp grown = stamp_of(tmp.path);
+  EXPECT_NE(grown.ino, before.ino) << "new entries were not written";
+  EXPECT_GT(grown.size, before.size);
+
+  // A fresh calibration adds a device, even with no new cache entry.
+  {
+    auto session = warm_session(tmp.path, 12);
+    session->add_device(*target::preset("fig15"));
+    ASSERT_TRUE(session->save_snapshot().ok());
+  }
+  EXPECT_NE(stamp_of(tmp.path).ino, grown.ino) << "a calibration was lost";
+  auto verified = dse::verify_snapshot(tmp.path);
+  ASSERT_TRUE(verified.ok()) << verified.error_message();
+  EXPECT_EQ(verified.value().calibrations.size(), 2u);
+}
+
+TEST(SnapshotRewrite, FileDeletedOrReplacedAfterTheLoadIsWritten) {
+  TempPath tmp("rewrite_replaced");
+  ASSERT_TRUE(warm_session(tmp.path)->save_snapshot().ok());
+  const std::string good = read_file_bytes(tmp.path);
+
+  {
+    auto session = warm_session(tmp.path);
+    std::remove(tmp.path.c_str());
+    ASSERT_TRUE(session->save_snapshot().ok());
+    EXPECT_EQ(read_file_bytes(tmp.path), good) << "deleted file not rewritten";
+  }
+  {
+    auto session = warm_session(tmp.path);
+    write_file_bytes(tmp.path, "replaced by another writer");
+    ASSERT_TRUE(session->save_snapshot().ok());
+    EXPECT_EQ(read_file_bytes(tmp.path), good) << "edited file not rewritten";
+  }
+  {
+    auto session = warm_session(tmp.path);
+    TempPath other("rewrite_replacement");
+    write_file_bytes(other.path, good);  // same bytes, another inode
+    ASSERT_EQ(std::rename(other.path.c_str(), tmp.path.c_str()), 0);
+    const FileStamp replaced = stamp_of(tmp.path);
+    ASSERT_TRUE(session->save_snapshot().ok());
+    EXPECT_NE(stamp_of(tmp.path).ino, replaced.ino)
+        << "a file renamed over the loaded one was taken for it";
+  }
+}
+
+TEST(SnapshotRewrite, SaveToAnotherPathAlwaysWrites) {
+  TempPath tmp("rewrite_source");
+  TempPath copy("rewrite_copy");
+  ASSERT_TRUE(warm_session(tmp.path)->save_snapshot().ok());
+  auto session = warm_session(tmp.path);
+  auto saved = session->save_snapshot(copy.path);
+  ASSERT_TRUE(saved.ok()) << saved.error_message();
+  auto verified = dse::verify_snapshot(copy.path);
+  ASSERT_TRUE(verified.ok()) << verified.error_message();
+  EXPECT_EQ(verified.value().file_bytes, saved.value());
+  EXPECT_GT(verified.value().variant_entries, 0u);
+}
+
+TEST(SnapshotRewrite, LoadIntoANonEmptySessionNeverSkips) {
+  // The session already holds a calibration the file lacks, so the file
+  // does not hold everything a save would write.
+  TempPath tmp("rewrite_nonempty");
+  {
+    dse::SessionOptions so;
+    so.snapshot_path = tmp.path;
+    dse::Session session(so);
+    ASSERT_TRUE(session.save_snapshot().ok());  // an empty snapshot
+  }
+  const FileStamp before = stamp_of(tmp.path);
+  dse::Session session;
+  session.add_device(*target::preset("fig15"));
+  ASSERT_TRUE(session.load_snapshot(tmp.path).ok());
+  ASSERT_TRUE(session.save_snapshot(tmp.path).ok());
+  EXPECT_NE(stamp_of(tmp.path).ino, before.ino);
+  auto verified = dse::verify_snapshot(tmp.path);
+  ASSERT_TRUE(verified.ok()) << verified.error_message();
+  EXPECT_EQ(verified.value().calibrations.size(), 1u);
+}
+
+TEST(SnapshotRewrite, SaveFailpointFiresBeforeTheSkip) {
+  TempPath tmp("rewrite_failpoint");
+  ASSERT_TRUE(warm_session(tmp.path)->save_snapshot().ok());
+  const FileStamp before = stamp_of(tmp.path);
+  auto session = warm_session(tmp.path);
+  failpoint::Scoped guard("snapshot.save", 100);
+  auto saved = session->save_snapshot();
+  ASSERT_FALSE(saved.ok()) << "a no-op save swallowed the armed failpoint";
+  EXPECT_NE(saved.diag().message.find("snapshot.save"), std::string::npos);
+  EXPECT_EQ(stamp_of(tmp.path), before);
 }
 
 // ---------------------------------------------------------------------------

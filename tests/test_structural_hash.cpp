@@ -9,16 +9,23 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "tytra/cost/report.hpp"
 #include "tytra/dse/cache.hpp"
+#include "tytra/frontend/transform.hpp"
 #include "tytra/ir/analysis.hpp"
+#include "tytra/ir/parser.hpp"
 #include "tytra/ir/printer.hpp"
 #include "tytra/ir/structural_hash.hpp"
+#include "tytra/kernels/generator.hpp"
 #include "tytra/kernels/kernels.hpp"
+#include "tytra/kernels/registry.hpp"
 #include "tytra/sim/cycle_model.hpp"
 
 namespace {
@@ -52,29 +59,68 @@ ir::Module lavamd(std::uint32_t lanes) {
 // Equal printed IR <=> equal digest
 // --------------------------------------------------------------------------
 
+#ifdef TYTRA_SOURCE_DIR
+std::string source_dir() { return TYTRA_SOURCE_DIR; }
+#else
+std::string source_dir() { return "."; }
+#endif
+
+/// The shipped example `.tir` modules, parsed.
+std::vector<ir::Module> example_modules() {
+  std::vector<ir::Module> out;
+  for (const char* name : {"blur.tir", "dotacc.tir", "sor.tir"}) {
+    std::ifstream in(source_dir() + "/examples/ir/" + name);
+    std::ostringstream text;
+    text << in.rdbuf();
+    auto parsed = ir::parse_module(text.str());
+    EXPECT_TRUE(parsed.ok()) << name << ": " << parsed.error_message();
+    if (parsed.ok()) out.push_back(std::move(parsed).take().module);
+  }
+  return out;
+}
+
 TEST(StructuralHash, PrintEqualityMatchesDigestEqualityAcrossKernelsAndSweep) {
+  // The cache keeps no printed IR, so this is where "equal digest means
+  // equal printed IR" is pinned: built-in sweeps, the 200-seed generator
+  // corpus and the shipped examples, each compared against all others.
   std::vector<ir::Module> designs;
   for (const std::uint32_t lanes : {1u, 2u, 4u, 8u}) {
     designs.push_back(sor(lanes));
     designs.push_back(hotspot(lanes));
     designs.push_back(lavamd(lanes));
   }
-  // Rebuilding the same variant must reproduce both print and digest.
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    designs.push_back(kernels::generate_kernel(seed));
+  }
+  const std::vector<ir::Module> examples = example_modules();
+  ASSERT_EQ(examples.size(), 3u);
+  designs.insert(designs.end(), examples.begin(), examples.end());
+  // Rebuilding the same design must reproduce both print and digest.
   designs.push_back(sor(4));
   designs.push_back(hotspot(2));
+  designs.push_back(kernels::generate_kernel(17));
+  designs.push_back(example_modules().back());
 
+  std::vector<std::string> prints;
+  std::vector<StructuralDigest> digests;
+  std::vector<std::uint64_t> hashes;
+  for (const ir::Module& m : designs) {
+    prints.push_back(ir::print_module(m));
+    digests.push_back(ir::structural_digest(m));
+    hashes.push_back(ir::structural_hash(m));
+  }
+  std::size_t equal_pairs = 0;
   for (std::size_t i = 0; i < designs.size(); ++i) {
     for (std::size_t j = 0; j < designs.size(); ++j) {
-      const bool print_equal =
-          ir::print_module(designs[i]) == ir::print_module(designs[j]);
-      const bool digest_equal =
-          ir::structural_digest(designs[i]) == ir::structural_digest(designs[j]);
-      EXPECT_EQ(print_equal, digest_equal) << "designs " << i << " vs " << j;
-      EXPECT_EQ(print_equal, ir::structural_hash(designs[i]) ==
-                                 ir::structural_hash(designs[j]))
+      const bool print_equal = prints[i] == prints[j];
+      equal_pairs += print_equal && i != j ? 1 : 0;
+      EXPECT_EQ(print_equal, digests[i] == digests[j])
+          << "designs " << i << " vs " << j;
+      EXPECT_EQ(print_equal, hashes[i] == hashes[j])
           << "designs " << i << " vs " << j;
     }
   }
+  EXPECT_GE(equal_pairs, 8u) << "the rebuilt designs must match their twins";
 }
 
 TEST(StructuralHash, RebuildingTheSameDesignIsStable) {
@@ -265,6 +311,53 @@ TEST(StructuralHash, ConfigurableShardCountServesAllLookups) {
 // --------------------------------------------------------------------------
 // AnalysisSummary parity with the legacy per-question analyses
 // --------------------------------------------------------------------------
+
+TEST(StructuralHash, EveryCacheHitPrintsAsTheDesignFirstInserted) {
+  // One cache across the built-in corpus (3 kernels x nd {16..128} x the
+  // 3 presets), run twice so every design also hits. The cache stores no
+  // printed IR; the test prints each design itself and checks that a
+  // structural hit is byte-identical to the design that first missed
+  // under the same (device, digest).
+  dse::CostCache cache;
+  std::map<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>,
+           std::string>
+      first;
+  std::size_t hits = 0;
+  std::vector<cost::DeviceCostDb> dbs;
+  for (const std::string& preset : target::preset_names()) {
+    dbs.push_back(cost::DeviceCostDb::calibrate(*target::preset(preset)));
+  }
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const cost::DeviceCostDb& db : dbs) {
+      for (const char* kernel : {"sor", "hotspot", "lavamd"}) {
+        for (const std::uint32_t nd : {16u, 24u, 32u, 48u, 64u, 96u, 128u}) {
+          auto job = kernels::Registry::instance().make_job(kernel, nd);
+          ASSERT_TRUE(job.ok()) << job.error_message();
+          for (const auto& v : frontend::enumerate_variants(job.value().n, 16)) {
+            const ir::Module m = job.value().lower->lower(v);
+            const StructuralDigest digest = ir::structural_digest(m);
+            const auto id =
+                std::make_tuple(db.fingerprint(), digest.key, digest.check);
+            bool was_hit = false;
+            (void)cache.cost(m, db, &was_hit);
+            if (!was_hit) {
+              EXPECT_TRUE(first.emplace(id, ir::print_module(m)).second)
+                  << kernel << " nd " << nd << ": missed a resident design";
+              continue;
+            }
+            ++hits;
+            const auto it = first.find(id);
+            ASSERT_NE(it, first.end()) << kernel << " nd " << nd;
+            EXPECT_EQ(ir::print_module(m), it->second)
+                << kernel << " nd " << nd << " on " << db.device().name;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cache.size(), first.size());
+  EXPECT_GE(hits, first.size()) << "the second pass must hit every design";
+}
 
 TEST(AnalysisSummary, MatchesLegacyAnalysesOnAllKernels) {
   const std::vector<ir::Module> designs = {sor(1), sor(8), hotspot(4),
