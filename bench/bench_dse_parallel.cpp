@@ -19,8 +19,8 @@
 // one session per regime: a cache-less session for the sequential and
 // parallel sweeps (so they measure evaluation, not lookups) and a
 // cache-owning session whose second sweep is the warm rerun. Lowering
-// stays a plain LowerFn (structural-digest caching, no variant keys),
-// measuring the same regimes this bench always has.
+// goes through kernels::sor_lowerer, whose variant keys are what the
+// warm rerun hits.
 
 #include <chrono>
 #include <cstdio>
@@ -32,6 +32,7 @@
 
 #include "tytra/dse/session.hpp"
 #include "tytra/kernels/kernels.hpp"
+#include "tytra/kernels/lowerers.hpp"
 #include "tytra/kernels/registry.hpp"
 
 namespace {
@@ -44,14 +45,11 @@ double now_seconds() {
       .count();
 }
 
-dse::LowerFn sor_lower(std::uint32_t dim) {
-  return [dim](const frontend::Variant& v) {
-    kernels::SorConfig cfg;
-    cfg.im = cfg.jm = cfg.km = dim;
-    cfg.nki = 10;
-    cfg.lanes = v.lanes();
-    return kernels::make_sor(cfg);
-  };
+std::shared_ptr<const dse::Lowerer> sor_lower(std::uint32_t dim) {
+  kernels::SorConfig cfg;
+  cfg.im = cfg.jm = cfg.km = dim;
+  cfg.nki = 10;
+  return std::make_shared<dse::KeyedLowerer>(kernels::sor_lowerer(cfg));
 }
 
 double sweep_seconds(dse::Session& session, const dse::Job& job, int reps,
@@ -141,7 +139,7 @@ int main(int argc, char** argv) {
   job.workload = "sor";
   job.nd = dim;
   job.n = n;
-  job.lower = std::make_shared<dse::FnLowerer>(sor_lower(dim));
+  job.lower = sor_lower(dim);
   job.db = &db;
   job.max_lanes = 64;
 

@@ -45,7 +45,10 @@ int main() {
               1e3 * result.explore_seconds /
                   static_cast<double>(result.entries.size()));
 
-  const auto baseline = session.baseline(job);
+  // The HLS baseline is the one-lane sweep: pipeline parallelism only.
+  dse::Job one_lane = job;
+  one_lane.max_lanes = 1;
+  const auto baseline = session.explore(one_lane).entries.front().report;
   const auto* best = result.best_entry();
   if (best == nullptr) {
     std::fprintf(stderr, "no valid variant found\n");

@@ -31,9 +31,8 @@ struct CostReport {
 };
 
 /// Runs the full cost model on a design variant. The module-only overload
-/// builds the analysis summary itself; hot paths that already hold one
-/// (the DSE cache, sweep engines) pass it in so the whole report costs
-/// exactly one module traversal.
+/// builds the analysis summary itself; callers that already hold one
+/// pass it in so the whole report costs exactly one module traversal.
 /// Preconditions: the module verifies.
 CostReport cost_design(const ir::Module& module, const DeviceCostDb& db);
 CostReport cost_design(const ir::Module& module, const DeviceCostDb& db,

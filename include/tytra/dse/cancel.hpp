@@ -10,10 +10,10 @@
 // handler and the campaign winds down cleanly instead of dying with a
 // partial stdout blob.
 //
-// Deadlines ride the same checkpoints: SessionOptions::deadline_seconds
-// (or the per-job Job::deadline_seconds override) is a wall-clock budget
-// measured from the start of the explore/tune/run call; a task drawn
-// after the budget elapsed marks its job timed out instead of running.
+// Deadlines ride the same checkpoints: Job::deadline_seconds is a
+// wall-clock budget measured from the start of the explore/tune/run
+// call; a task drawn after the budget elapsed marks its job timed out
+// instead of running.
 //
 // How an expiry/cancel surfaces depends on the entry point: single-job
 // calls (explore/tune) throw CancelledError / DeadlineExceeded, while

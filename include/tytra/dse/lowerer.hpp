@@ -7,10 +7,10 @@
 // makes identity a first-class part of lowering: `key(variant)` names the
 // design a variant will lower to — kernel identity plus the variant's
 // shape/annotation encoding — without building any IR, and `lower(variant)`
-// produces the module only when a cache actually needs it. The structural
-// digest of the lowered module remains the authoritative second-level
-// identity (see dse/cache.hpp); the variant key is a promise the cache
-// cross-checks in debug builds.
+// produces the module only when a cache actually needs it. The variant
+// key is the cost cache's only identity (see dse/cache.hpp): equal keys
+// must lower to equal designs, which the key-soundness tests check over
+// every built-in, generated and example workload.
 
 #include <cstdint>
 #include <functional>
@@ -18,9 +18,14 @@
 #include <string>
 
 #include "tytra/frontend/transform.hpp"
-#include "tytra/ir/arena.hpp"
 #include "tytra/ir/module.hpp"
 #include "tytra/support/hash.hpp"
+
+namespace tytra::ir {
+/// Declared only so Lowerer::lower keeps its signature; no type defines
+/// it, and every caller passes null.
+class BuildArena;
+}  // namespace tytra::ir
 
 namespace tytra::dse {
 
@@ -29,12 +34,6 @@ namespace tytra::dse {
 /// With num_threads > 1 the function is invoked concurrently from worker
 /// threads and must be safe to call in parallel (pure builders are).
 using LowerFn = std::function<ir::Module(const frontend::Variant&)>;
-
-/// Arena-aware lowering function: same contract as LowerFn, but draws
-/// builder storage from the caller's per-worker arena when one is given
-/// (may be null).
-using ArenaLowerFn =
-    std::function<ir::Module(const frontend::Variant&, ir::BuildArena*)>;
 
 /// 128-bit pre-lowering design identity: kernel identity + variant shape.
 /// Both halves hash the same field stream under independent seeds, so a
@@ -58,22 +57,21 @@ class Lowerer {
   virtual ~Lowerer() = default;
 
   /// The identity of the design `lower(v)` would produce, or nullopt when
-  /// this lowerer cannot promise one (then caches fall back to lowering +
-  /// structural digest, which is always correct). Two calls that return
+  /// this lowerer cannot promise one (then a cache lowers and costs the
+  /// variant on every lookup and memoizes nothing). Two calls that return
   /// equal keys MUST lower to structurally identical modules.
   [[nodiscard]] virtual std::optional<VariantKey> key(
       const frontend::Variant& v) const = 0;
 
-  /// Lowers `v` to IR. `arena` is optional recycled builder storage
-  /// (per-worker scratch); implementations may ignore it.
+  /// Lowers `v` to IR. The second parameter is vestigial: it is always
+  /// null, and implementations ignore it.
   [[nodiscard]] virtual ir::Module lower(const frontend::Variant& v,
-                                         ir::BuildArena* arena = nullptr)
-      const = 0;
+                                         ir::BuildArena* = nullptr) const = 0;
 };
 
 /// Shim keeping std::function callers working: lowers through the wrapped
-/// LowerFn and promises no key, so every lookup resolves at the
-/// structural-digest level exactly as before the Lowerer interface existed.
+/// LowerFn and promises no key, so a cache lowers and costs every lookup
+/// and stores nothing.
 class FnLowerer final : public Lowerer {
  public:
   explicit FnLowerer(LowerFn fn) : fn_(std::move(fn)) {}
@@ -83,9 +81,7 @@ class FnLowerer final : public Lowerer {
     return std::nullopt;
   }
   [[nodiscard]] ir::Module lower(const frontend::Variant& v,
-                                 ir::BuildArena* arena = nullptr)
-      const override {
-    (void)arena;  // a plain LowerFn has nowhere to plug scratch in
+                                 ir::BuildArena* = nullptr) const override {
     return fn_(v);
   }
 
@@ -98,17 +94,18 @@ class FnLowerer final : public Lowerer {
 /// name and every configuration field that shapes the produced IR (grid
 /// dims, NKI, element type, execution form, ...). Two KeyedLowerers with
 /// equal fingerprints must lower equal variants to structurally identical
-/// modules; debug builds of the cost cache verify that promise against
-/// the structural digest on every variant-key hit.
+/// modules; the key-soundness tests check that promise against the
+/// printed IR and the structural digest.
 class KeyedLowerer final : public Lowerer {
  public:
-  KeyedLowerer(std::string fingerprint, ArenaLowerFn fn);
+  KeyedLowerer(std::string fingerprint, LowerFn fn);
 
   [[nodiscard]] std::optional<VariantKey> key(
       const frontend::Variant& v) const override;
   [[nodiscard]] ir::Module lower(const frontend::Variant& v,
-                                 ir::BuildArena* arena = nullptr)
-      const override;
+                                 ir::BuildArena* = nullptr) const override {
+    return fn_(v);
+  }
 
   [[nodiscard]] const std::string& fingerprint() const { return fingerprint_; }
 
@@ -116,7 +113,7 @@ class KeyedLowerer final : public Lowerer {
   std::string fingerprint_;
   std::uint64_t seed_key_{0};    ///< fingerprint pre-hashed, primary seed
   std::uint64_t seed_check_{0};  ///< fingerprint pre-hashed, check seed
-  ArenaLowerFn fn_;
+  LowerFn fn_;
 };
 
 }  // namespace tytra::dse

@@ -17,11 +17,6 @@
 // DSE engine drains an atomic cursor inside fn), which keeps the pool
 // free of per-task std::function allocations on the hot path.
 //
-// Worker index i is pinned to one OS thread for the pool's lifetime, so
-// state indexed by worker — the session's per-worker BuildArenas — is
-// only ever touched by the same thread across batches, and recycled
-// builder capacity survives from job to job without any synchronization.
-//
 // run_batch is not reentrant: one batch at a time (dse::Session already
 // requires one job or campaign at a time, which implies this). A batch
 // function that throws does not wedge the pool — the first exception is

@@ -2,7 +2,7 @@
 
 // tytra-dsed's engine room: a DSE-as-a-service server wrapping ONE warm
 // dse::Session behind a Unix-domain socket. Every client that connects
-// shares the session's two-level cost cache, calibrated device table and
+// shares the session's cost cache, calibrated device table and
 // persistent thread pool — the whole point of the daemon: the second
 // client's campaign answers at the variant-key level from the first
 // client's work, and nobody pays a cold start except the boot itself

@@ -2,29 +2,25 @@
 
 // The object-oriented entry point to design-space exploration — the
 // "compiler with a feedback path" of paper §I/§VI as one engine object
-// instead of a pile of free-function overloads with caches, arenas and
-// thread counts threaded by hand.
+// instead of a pile of free-function overloads with caches and thread
+// counts threaded by hand.
 //
 // A Session owns everything repeated exploration wants to share:
 //
-//   * the two-level CostCache (see dse/cache.hpp) — every sweep, tune
-//     walk and campaign job run by the session warms the same cache, so
-//     a tuner trajectory after a sweep, or a campaign's repeat sizes,
-//     resolve at the variant-key level without lowering any IR;
+//   * the CostCache (see dse/cache.hpp) — every sweep, tune walk and
+//     campaign job run by the session warms the same cache, so a tuner
+//     trajectory after a sweep, or a campaign's repeat sizes, resolve by
+//     variant key without lowering any IR;
 //   * a device table of named, calibrated DeviceCostDbs — calibrate a
 //     board once, cost any number of jobs against it by name;
 //   * the persistent worker pool (dse::ThreadPool) — created lazily on
 //     the first batch that resolves to more than one worker under the
 //     clamping policy SessionOptions::num_threads documents, then reused
 //     for every subsequent sweep, tune walk and campaign, so repeated
-//     small jobs stop paying thread spawn/join churn;
-//   * the per-worker BuildArenas — worker index i is pinned to one pool
-//     thread for the session's lifetime, so arena i is only ever touched
-//     by that thread and recycled builder storage survives *across*
-//     jobs, not just within one sweep.
+//     small jobs stop paying thread spawn/join churn.
 //
 // Work is described by a Job ({workload, size, device} plus per-job
-// knobs) and submitted through explore / tune / baseline, or batched as
+// knobs) and submitted through explore / tune, or batched as
 // a Campaign whose result adds the cross-device comparison and a merged
 // Pareto view over every job. explore() and run() share one evaluation
 // core: a sweep is a one-job batch of the same flattened, failure-
@@ -38,10 +34,9 @@
 // dse::Command (dse/command.hpp).
 //
 // Thread-safety: the session's cache is safe for concurrent use, but
-// Session methods themselves are not: explore / tune / baseline / run
-// share the persistent pool and its per-worker arenas. Drive one job or
-// campaign at a time per Session; each call parallelizes internally on
-// the session's pool.
+// Session methods themselves are not: explore / tune / run share the
+// persistent pool. Drive one job or campaign at a time per Session; each
+// call parallelizes internally on the session's pool.
 
 #include <cstdint>
 #include <map>
@@ -58,7 +53,6 @@
 #include "tytra/dse/explorer.hpp"
 #include "tytra/dse/pool.hpp"
 #include "tytra/dse/tuner.hpp"
-#include "tytra/ir/arena.hpp"
 #include "tytra/target/device.hpp"
 
 namespace tytra::dse {
@@ -78,8 +72,6 @@ struct SessionOptions {
   /// resolves to more than one worker, and reuses it for every
   /// subsequent sweep, tune walk and campaign.
   std::uint32_t num_threads{0};
-  /// Shard count forwarded to the session's CostCache (0 = auto).
-  std::size_t cache_shards{0};
   /// When false the session owns no cache and every job runs uncached —
   /// for single-shot callers that evaluate each variant once, where a
   /// cache would be pure keying and insert overhead.
@@ -99,12 +91,6 @@ struct SessionOptions {
   /// and keeps every completed job's results. Safe to flip from a signal
   /// handler (see dse/cancel.hpp).
   CancelToken* cancel{nullptr};
-  /// Wall-clock budget in seconds for each explore/tune/run call,
-  /// measured from the call's start; 0 disables. Checked at the same
-  /// variant granularity as cancellation. Single-job calls throw
-  /// DeadlineExceeded; campaign jobs degrade to JobState::TimedOut.
-  /// Job::deadline_seconds overrides this per job.
-  double deadline_seconds{0};
 };
 
 /// One unit of exploration work: which design family, how big, against
@@ -136,8 +122,10 @@ struct Job {
   /// Step budget for tune() (<= 0 yields an empty trajectory).
   int max_steps{12};
   /// Per-job wall-clock budget in seconds, measured from the start of
-  /// the explore/tune/run call this job is part of; 0 inherits
-  /// SessionOptions::deadline_seconds.
+  /// the explore/tune/run call this job is part of; 0 disables. Checked
+  /// at the same variant (explore/run) or step (tune) granularity as
+  /// cancellation. Single-job calls throw DeadlineExceeded; campaign jobs
+  /// degrade to JobState::TimedOut.
   double deadline_seconds{0};
   /// Per-job cooperative cancellation (non-owning; must outlive the
   /// call). Unlike SessionOptions::cancel — which stops the whole batch —
@@ -231,8 +219,8 @@ struct CampaignResult {
   }
 };
 
-/// The DSE engine object. Owns cache, device table, thread policy and
-/// per-worker arenas; every sweep/tune/baseline/campaign runs through it.
+/// The DSE engine object. Owns cache, device table and thread policy;
+/// every sweep/tune/campaign runs through it.
 class Session {
  public:
   /// Throws std::invalid_argument when options are invalid
@@ -274,10 +262,6 @@ class Session {
   /// SessionOptions::max_lanes).
   TuneResult tune(const Job& job);
 
-  /// The MaxJ-like HLS baseline: pipeline parallelism only, no
-  /// architectural exploration — the 1-lane variant's cost report.
-  cost::CostReport baseline(const Job& job);
-
   /// Runs the whole campaign through the shared cache and merges the
   /// cross-device comparison + Pareto view. Scheduling is campaign-wide:
   /// all jobs' variants form one flattened work list drained by the
@@ -287,15 +271,12 @@ class Session {
   /// level against the now-warm cache. Per-job merge, best, Pareto and
   /// cache stats are computed in enumeration order, so campaign output
   /// (text and JSON, wall times aside) is byte-identical across thread
-  /// counts and to running the jobs one by one. The stats-determinism
-  /// guarantee assumes repeated designs are visible to the dedup, i.e.
-  /// they share a variant key and a database address (jobs naming the
-  /// same device-table entry do). Designs that only coincide later —
-  /// key-less FnLowerer jobs, keyed lowerers with different fingerprints
-  /// lowering to identical IR, or distinct Job::db copies calibrated
-  /// from one device — race at the structural level instead, and their
-  /// per-job hit/miss stats may vary across thread counts; the reports,
-  /// entries, best and frontiers are still exact.
+  /// counts and to running the jobs one by one. Key-less FnLowerer jobs
+  /// never hit, so their stats are all misses at any thread count.
+  /// Repeats that the dedup cannot see — the same variant key under
+  /// distinct Job::db copies calibrated from one device — still hit,
+  /// but which copy's job counts the miss may vary across thread counts;
+  /// the reports, entries, best and frontiers are exact either way.
   ///
   /// Failure domains are per job: an evaluation that throws (or a job
   /// whose deadline elapses) marks *that job* Failed/TimedOut in its
@@ -316,8 +297,7 @@ class Session {
 
   /// What one snapshot load restored.
   struct SnapshotStats {
-    std::size_t structural_entries{0};
-    std::size_t variant_entries{0};
+    std::size_t entries{0};
     std::size_t calibrations{0};
   };
 
@@ -350,19 +330,12 @@ class Session {
     std::uint32_t max_lanes;
   };
   [[nodiscard]] ResolvedJob resolve(const Job& job) const;
-  /// The job's wall-clock budget: its own, else the session's.
-  [[nodiscard]] double deadline_of(const Job& job) const {
-    return job.deadline_seconds > 0 ? job.deadline_seconds
-                                    : options_.deadline_seconds;
-  }
   /// The evaluation core shared by explore() and run(): resolves and
   /// enumerates every job, evaluates the flattened variants in two waves
   /// with per-job failure containment, and merges each job in
   /// enumeration order. Defined in session.cpp.
   struct Batch;
   Batch evaluate(std::span<const Job> jobs);
-  /// Grows the arena pool to at least `n` workers.
-  std::vector<ir::BuildArena>& arenas(std::size_t n);
   /// The widest batch this session will ever run (the num_threads clamp
   /// applied to unbounded work) — the pool's capacity.
   [[nodiscard]] std::uint32_t max_participants() const;
@@ -374,7 +347,6 @@ class Session {
   std::unique_ptr<CostCache> cache_;
   std::map<std::string, cost::DeviceCostDb, std::less<>> devices_;
   std::vector<std::string> device_order_;
-  std::vector<ir::BuildArena> arenas_;
   std::unique_ptr<ThreadPool> pool_;
   /// Calibrations restored from a snapshot, keyed by device name, waiting
   /// for add_device() to claim them. The database's fingerprint is the
@@ -402,8 +374,7 @@ class Session {
   struct LoadedSnapshot {
     std::string path;
     FileStamp stamp;
-    std::size_t structural{0};
-    std::size_t variant{0};
+    std::size_t entries{0};
   };
   std::optional<LoadedSnapshot> loaded_;
 };
@@ -420,8 +391,7 @@ struct SnapshotSummary {
   std::uint32_t format_version{0};
   std::uint32_t payload_version{0};
   std::uint64_t file_bytes{0};
-  std::size_t structural_entries{0};
-  std::size_t variant_entries{0};
+  std::size_t entries{0};
   /// Restored calibrations as (device name, fingerprint) pairs.
   std::vector<std::pair<std::string, std::uint64_t>> calibrations;
 };

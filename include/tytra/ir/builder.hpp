@@ -16,25 +16,18 @@
 //   mb.add(std::move(f0).take());
 //   Module m = std::move(mb).take();
 
-#include <initializer_list>
 #include <string>
 #include <vector>
 
-#include "tytra/ir/arena.hpp"
 #include "tytra/ir/module.hpp"
 
 namespace tytra::ir {
 
 /// Builds one IR function. Values are referred to by name; helper methods
 /// auto-generate unique names when none is given.
-///
-/// An optional BuildArena supplies recycled vector storage (body, params,
-/// operand lists) so repeated lowering — a cold DSE sweep builds one
-/// function set per variant — reuses capacity instead of allocating;
-/// null keeps the plain-allocation behavior.
 class FunctionBuilder {
  public:
-  FunctionBuilder(std::string name, FuncKind kind, BuildArena* arena = nullptr);
+  FunctionBuilder(std::string name, FuncKind kind);
 
   /// Adds a parameter and returns its name.
   std::string param(Type type, std::string name);
@@ -48,12 +41,6 @@ class FunctionBuilder {
   /// Throws std::invalid_argument on arity mismatch.
   std::string instr(Opcode op, Type type, std::vector<Operand> args,
                     std::string name = {});
-  /// Braced-list form: with an arena, the operand vector is drawn from the
-  /// recycled pool instead of freshly allocated (the form every kernel
-  /// builder uses, so arena-backed lowering touches the allocator only
-  /// while warming up).
-  std::string instr(Opcode op, Type type, std::initializer_list<Operand> args,
-                    std::string name = {});
 
   /// Streams `value` out through `target`: a global write to an output
   /// port name or to a parameter bound to one (emitted as a mov).
@@ -63,8 +50,6 @@ class FunctionBuilder {
   ///   @global = op(type, args..., @global)   -- accumulator appended last.
   void reduce(Opcode op, Type type, const std::string& global,
               std::vector<Operand> args);
-  void reduce(Opcode op, Type type, const std::string& global,
-              std::initializer_list<Operand> args);
 
   /// Appends a call.
   void call(std::string callee, std::vector<Operand> args, FuncKind kind);
@@ -75,22 +60,18 @@ class FunctionBuilder {
  private:
   std::string fresh_name();
   void note_defined(const std::string& name, const Type& type);
-  [[nodiscard]] std::vector<Operand> make_args(std::initializer_list<Operand> il);
 
   Function func_;
   /// Defined value names with their types, so offset() resolves a base's
   /// type in one lookup instead of rescanning the whole body per call.
   std::vector<std::pair<std::string, Type>> defined_;
   int next_id_{1};
-  BuildArena* arena_{nullptr};  ///< optional recycled storage; not owned
 };
 
-/// Builds a module: metadata, Manage-IR and functions. The optional
-/// BuildArena supplies recycled Manage-IR and function-list storage, the
-/// same way it does for FunctionBuilder.
+/// Builds a module: metadata, Manage-IR and functions.
 class ModuleBuilder {
  public:
-  explicit ModuleBuilder(std::string name, BuildArena* arena = nullptr);
+  explicit ModuleBuilder(std::string name);
 
   ModuleBuilder& set_ndrange(std::uint64_t ngs);
   ModuleBuilder& set_nki(std::uint32_t nki);

@@ -4,7 +4,7 @@
 // TyTra-IR modules with randomized op mixes, stream offsets and port
 // counts. The property suite (tests/test_generated_kernels.cpp) drives
 // the whole stack — printer/parser round-trips, structural digests, the
-// cost model vs the cycle simulator, and the two-level cost cache —
+// cost model vs the cycle simulator, and the variant-keyed cost cache —
 // over hundreds of these instead of only the three built-in kernels.
 //
 // Determinism contract: generate_kernel(seed, opts) is a pure function

@@ -11,15 +11,9 @@
 // reshaped multi-lane variant (C1) with any lane count dividing the
 // NDRange — the design variants the type transformations of §II generate.
 
-// Every `make_*` builder accepts an optional ir::BuildArena: per-worker
-// recycled builder storage that strips the per-variant allocation churn
-// out of cold DSE lowering (null keeps plain allocation; the produced
-// module is an ordinary owning Module either way).
-
 #include <cstdint>
 #include <vector>
 
-#include "tytra/ir/arena.hpp"
 #include "tytra/ir/module.hpp"
 #include "tytra/sim/cpu_model.hpp"
 #include "tytra/sim/functional.hpp"
@@ -47,8 +41,7 @@ struct SorConfig {
 
 /// Builds the SOR design variant. Throws std::invalid_argument when the
 /// lane count does not divide the NDRange.
-ir::Module make_sor(const SorConfig& config,
-                    ir::BuildArena* arena = nullptr);
+ir::Module make_sor(const SorConfig& config);
 
 /// Input streams for a lane count of 1 (port names p, rhs, cn1, cn2l,
 /// cn2s, cn3l, cn3s, cn4l, cn4s). Deterministic, small values.
@@ -88,8 +81,7 @@ struct HotspotConfig {
   }
 };
 
-ir::Module make_hotspot(const HotspotConfig& config,
-                        ir::BuildArena* arena = nullptr);
+ir::Module make_hotspot(const HotspotConfig& config);
 sim::StreamMap hotspot_inputs(const HotspotConfig& config, std::uint64_t seed = 2);
 std::vector<double> hotspot_reference(const HotspotConfig& config,
                                       const sim::StreamMap& inputs);
@@ -110,8 +102,7 @@ struct LavamdConfig {
   ir::ScalarType elem{ir::ScalarType::sint(32)};
 };
 
-ir::Module make_lavamd(const LavamdConfig& config,
-                       ir::BuildArena* arena = nullptr);
+ir::Module make_lavamd(const LavamdConfig& config);
 sim::StreamMap lavamd_inputs(const LavamdConfig& config, std::uint64_t seed = 3);
 struct LavamdReference {
   std::vector<double> pot;

@@ -22,7 +22,7 @@ void hash_variant(HashBuilder& h, const frontend::Variant& v) {
   for (const frontend::ParAnn a : anns) h.u64(static_cast<std::uint64_t>(a));
 }
 
-KeyedLowerer::KeyedLowerer(std::string fingerprint, ArenaLowerFn fn)
+KeyedLowerer::KeyedLowerer(std::string fingerprint, LowerFn fn)
     : fingerprint_(std::move(fingerprint)), fn_(std::move(fn)) {
   if (!fn_) throw std::invalid_argument("KeyedLowerer: null lowering function");
   // Pre-hash the fingerprint once: per-variant keying then costs only the
@@ -38,11 +38,6 @@ std::optional<VariantKey> KeyedLowerer::key(const frontend::Variant& v) const {
   hash_variant(hk, v);
   hash_variant(hc, v);
   return VariantKey{hk.value(), hc.value()};
-}
-
-ir::Module KeyedLowerer::lower(const frontend::Variant& v,
-                               ir::BuildArena* arena) const {
-  return fn_(v, arena);
 }
 
 }  // namespace tytra::dse

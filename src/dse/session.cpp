@@ -109,28 +109,21 @@ struct EvalContext {
 };
 
 /// One variant's report: through the cache when there is one (recording
-/// which level answered in `level`), else lowered and costed directly.
+/// whether it hit in `hit`), else lowered and costed directly.
 cost::CostReport cost_variant(const frontend::Variant& variant,
                               const Lowerer& lower,
                               const cost::DeviceCostDb& db, CostCache* cache,
-                              ir::BuildArena& arena,
-                              CostCache::HitLevel* level = nullptr) {
-  if (cache) return cache->cost(variant, lower, db, level, &arena);
-  ir::Module module = lower.lower(variant, &arena);
-  cost::CostReport report = cost::cost_design(module, db);
-  arena.recycle(std::move(module));
-  return report;
+                              bool* hit = nullptr) {
+  if (cache) return cache->cost(variant, lower, db, hit);
+  return cost::cost_design(lower.lower(variant), db);
 }
 
 /// Drains `tasks` into per-task slots. The work-queue is a single atomic
 /// cursor; slots are disjoint, so workers never contend on results, and
 /// merging slots in enumeration order is deterministic no matter the
-/// interleaving. Worker t draws lowering scratch from arenas[t] — worker
-/// indices are pinned to pool threads, so recycled builder capacity
-/// survives across batches and jobs. levels[slot] records which cache
-/// level answered (stays Miss when uncached); the per-batch accounting
-/// is aggregated from it afterwards, deterministically, instead of from
-/// racing shared counters.
+/// interleaving. hits[slot] records whether the cache answered (stays 0
+/// when uncached); the per-batch accounting is aggregated from it
+/// afterwards, deterministically, instead of from racing shared counters.
 ///
 /// Failure containment is per job, not per batch: a throwing evaluation
 /// (including the `dse.pool-task` failpoint) records the job's first
@@ -141,14 +134,11 @@ cost::CostReport cost_variant(const frontend::Variant& variant,
 /// read ctx.records and decide (explore rethrows, run() degrades).
 void evaluate_tasks(const std::vector<EvalTask>& tasks, CostCache* cache,
                     ThreadPool* pool, std::uint32_t participants,
-                    std::vector<ir::BuildArena>& arenas,
                     std::vector<std::optional<cost::CostReport>>& slots,
-                    std::vector<CostCache::HitLevel>& levels,
-                    EvalContext& ctx) {
+                    std::vector<std::uint8_t>& hits, EvalContext& ctx) {
   std::atomic<std::size_t> cursor{0};
 
-  auto worker = [&](std::uint32_t worker_index) {
-    ir::BuildArena& arena = arenas[worker_index];
+  auto worker = [&](std::uint32_t) {
     for (;;) {
       if (ctx.cancel != nullptr && ctx.cancel->cancelled()) {
         // Unfinished jobs are marked Cancelled by finalize_status once
@@ -185,8 +175,9 @@ void evaluate_tasks(const std::vector<EvalTask>& tasks, CostCache* cache,
       }
       try {
         failpoint::maybe_throw("dse.pool-task");
-        slots[t.slot] = cost_variant(*t.variant, *t.lower, *t.db, cache, arena,
-                                     &levels[t.slot]);
+        bool hit = false;
+        slots[t.slot] = cost_variant(*t.variant, *t.lower, *t.db, cache, &hit);
+        hits[t.slot] = hit;
       } catch (...) {
         const bool first =
             !ctx.dead[t.job].exchange(true, std::memory_order_relaxed);
@@ -239,25 +230,20 @@ JobStatus finalize_status(const EvalContext& ctx, std::size_t job,
   return s;
 }
 
-/// Sums levels[begin, end) into per-sweep stats — only for slots that
-/// were actually evaluated (a skipped task's level is a meaningless
+/// Sums hits[begin, end) into per-sweep stats — only for slots that
+/// were actually evaluated (a skipped task's flag is a meaningless
 /// default, not a miss). Separate from the cache's global counters,
 /// which concurrent sweeps sharing the cache also advance; and per-slot,
 /// so a campaign can attribute one flattened batch back to its jobs in
 /// enumeration order.
-void accumulate_stats(CacheStats& stats,
-                      const std::vector<CostCache::HitLevel>& levels,
+void accumulate_stats(CacheStats& stats, const std::vector<std::uint8_t>& hits,
                       const std::vector<std::optional<cost::CostReport>>& slots,
                       std::size_t begin, std::size_t end) {
   for (std::size_t i = begin; i < end; ++i) {
     if (!slots[i].has_value()) continue;
-    if (levels[i] == CostCache::HitLevel::Miss) {
-      ++stats.misses;
-    } else {
-      ++stats.hits;
-      if (levels[i] == CostCache::HitLevel::Variant) ++stats.variant_hits;
-    }
+    ++(hits[i] ? stats.hits : stats.misses);
   }
+  stats.variant_hits = stats.hits;
 }
 
 /// The streaming share of the per-instance time: how much of the budget
@@ -429,7 +415,7 @@ void merge_sweep(DseResult& result, std::vector<frontend::Variant>& variants,
 TuneResult run_tune(std::uint64_t n, const Lowerer& lower,
                     const cost::DeviceCostDb& db, int max_steps,
                     std::uint32_t max_lanes, CostCache* cache,
-                    ir::BuildArena& arena, const CancelToken* cancel,
+                    const CancelToken* cancel,
                     const CancelToken* job_cancel, double deadline_seconds,
                     std::chrono::steady_clock::time_point t0) {
   TuneResult result;
@@ -453,7 +439,7 @@ TuneResult run_tune(std::uint64_t n, const Lowerer& lower,
     if (deadline_seconds > 0 && seconds_since(t0) >= deadline_seconds) {
       throw DeadlineExceeded(deadline_seconds);
     }
-    cost::CostReport report = cost_variant(current, lower, db, cache, arena);
+    cost::CostReport report = cost_variant(current, lower, db, cache);
     const bool valid = report.valid;
     const cost::Wall wall = report.throughput.limiting;
     result.trajectory.emplace_back(current, std::move(report), action);
@@ -522,16 +508,15 @@ namespace {
 
 // Snapshot container section ids.
 constexpr std::uint32_t kSecMeta = 1;
-constexpr std::uint32_t kSecStructural = 2;
-constexpr std::uint32_t kSecVariant = 3;
+constexpr std::uint32_t kSecEntries = 2;
 constexpr std::uint32_t kSecCalibration = 4;
 
 /// Version of the *payload* schemas inside the sections (report encoding,
-/// digest scheme, entry layout, calibration layout). Bump on any change to
+/// key scheme, entry layout, calibration layout). Bump on any change to
 /// those — the container format version in binio.hpp only covers the
 /// framing. Version 2 dropped the printed-IR identity text from structural
-/// entries and made variant entries refer to their structural entry.
-constexpr std::uint32_t kSnapshotPayloadVersion = 2;
+/// entries; version 3 keeps one entries section of (variant key, report).
+constexpr std::uint32_t kSnapshotPayloadVersion = 3;
 
 /// Opens a snapshot file and checks its container and meta section.
 Result<binio::Reader> open_snapshot(const std::string& path) {
@@ -589,7 +574,7 @@ Session::Session(SessionOptions options) : options_(std::move(options)) {
         "no lane counts is empty)");
   }
   if (options_.enable_cache) {
-    cache_ = std::make_unique<CostCache>(options_.cache_shards);
+    cache_ = std::make_unique<CostCache>();
   }
   if (!options_.snapshot_path.empty()) {
     // A missing file is a normal first run: cold-start silently, and the
@@ -681,8 +666,7 @@ Result<Session::SnapshotStats> Session::load_snapshot(const std::string& path) {
   }
   // Only a load into an empty session leaves it holding exactly what the
   // file holds; the stamps around the read tie that content to one file.
-  const bool empty = cache_ && cache_->size() == 0 &&
-                     cache_->variant_size() == 0 && devices_.empty() &&
+  const bool empty = cache_ && cache_->size() == 0 && devices_.empty() &&
                      restored_.empty();
   const std::optional<FileStamp> before = stamp_of(path);
   auto opened = open_snapshot(path);
@@ -699,12 +683,10 @@ Result<Session::SnapshotStats> Session::load_snapshot(const std::string& path) {
 
   SnapshotStats stats;
   if (cache_) {
-    binio::Decoder structural(reader.section(kSecStructural));
-    binio::Decoder variant(reader.section(kSecVariant));
-    auto counts = cache_->load(structural, variant);
-    if (!counts.ok()) return rollback(counts.diag());
-    stats.structural_entries = counts.value().structural;
-    stats.variant_entries = counts.value().variant;
+    binio::Decoder entries(reader.section(kSecEntries));
+    auto count = cache_->load(entries);
+    if (!count.ok()) return rollback(count.diag());
+    stats.entries = count.value();
   }
   const auto failed = decode_calibrations(
       reader, [&](std::string name, cost::DeviceCostDb db) {
@@ -714,8 +696,7 @@ Result<Session::SnapshotStats> Session::load_snapshot(const std::string& path) {
   if (failed) return rollback(*failed);
 
   if (empty && before && before == stamp_of(path)) {
-    loaded_ = LoadedSnapshot{path, *before, cache_->size(),
-                             cache_->variant_size()};
+    loaded_ = LoadedSnapshot{path, *before, cache_->size()};
   }
   return stats;
 }
@@ -733,8 +714,7 @@ Result<std::uint64_t> Session::save_snapshot(const std::string& path) {
   // Nothing added since `target` was loaded, and it is still that file:
   // rewriting it would only spend the encode and the fsyncs.
   if (loaded_ && loaded_->path == target &&
-      cache_->size() == loaded_->structural &&
-      cache_->variant_size() == loaded_->variant &&
+      cache_->size() == loaded_->entries &&
       stamp_of(target) == loaded_->stamp) {
     return loaded_->stamp.size;
   }
@@ -744,11 +724,9 @@ Result<std::uint64_t> Session::save_snapshot(const std::string& path) {
   meta.u32(kSnapshotPayloadVersion);
   writer.add_section(kSecMeta, meta.take());
 
-  binio::Encoder structural;
-  binio::Encoder variant;
-  if (cache_) cache_->dump(structural, variant);
-  writer.add_section(kSecStructural, structural.take());
-  writer.add_section(kSecVariant, variant.take());
+  binio::Encoder entries;
+  if (cache_) cache_->dump(entries);
+  writer.add_section(kSecEntries, entries.take());
 
   // Claimed calibrations first, then restored-but-unclaimed ones (a job
   // that only exercised one device must not drop the others' calibration
@@ -788,12 +766,10 @@ Result<SnapshotSummary> verify_snapshot(const std::string& path) {
   // Decode every cache entry through a scratch cache — the exact walk a
   // warm start performs, so "verify passed" means "a load would succeed".
   CostCache scratch(1);
-  binio::Decoder structural(reader.section(kSecStructural));
-  binio::Decoder variant(reader.section(kSecVariant));
-  auto counts = scratch.load(structural, variant);
-  if (!counts.ok()) return counts.diag();
-  out.structural_entries = counts.value().structural;
-  out.variant_entries = counts.value().variant;
+  binio::Decoder entries(reader.section(kSecEntries));
+  auto count = scratch.load(entries);
+  if (!count.ok()) return count.diag();
+  out.entries = count.value();
 
   const auto failed = decode_calibrations(
       reader, [&](std::string name, cost::DeviceCostDb db) {
@@ -841,11 +817,6 @@ Session::ResolvedJob Session::resolve(const Job& job) const {
     }
   }
   return ResolvedJob{db, job.lower.get(), job.n, max_lanes};
-}
-
-std::vector<ir::BuildArena>& Session::arenas(std::size_t n) {
-  while (arenas_.size() < n) arenas_.emplace_back();
-  return arenas_;
 }
 
 std::uint32_t Session::max_participants() const {
@@ -898,15 +869,15 @@ Session::Batch Session::evaluate(std::span<const Job> jobs) {
   // alone. Evaluation runs in two waves. Wave 1 covers every *distinct*
   // design — a design repeated across jobs (same database, same variant
   // key) is evaluated once, by the first job that enumerates it. Wave 2
-  // runs the repeats after the wave-1 barrier, so each resolves at the
-  // variant-key level against the now-warm cache — exactly the hits the
+  // runs the repeats after the wave-1 barrier, so each hits by variant
+  // key in the now-warm cache — exactly the hits the
   // old job-after-job loop produced, which keeps per-job cache stats
   // (and therefore campaign text output) byte-identical across thread
-  // counts. Key-less lowerers cannot be deduplicated before lowering
-  // and stay in wave 1, as does every variant of a one-job batch (a
-  // sweep enumerates distinct lane counts).
+  // counts. Key-less lowerers cannot be deduplicated (nor memoized) and
+  // stay in wave 1, as does every variant of a one-job batch (a sweep
+  // enumerates distinct lane counts).
   std::vector<std::optional<cost::CostReport>> slots(total);
-  std::vector<CostCache::HitLevel> levels(total, CostCache::HitLevel::Miss);
+  std::vector<std::uint8_t> hits(total, 0);
   std::vector<EvalTask> wave1;
   wave1.reserve(total);
   std::vector<EvalTask> wave2;
@@ -931,7 +902,7 @@ Session::Batch Session::evaluate(std::span<const Job> jobs) {
   }
   EvalContext ctx(jobs.size(), options_.cancel, batch.t0);
   for (std::size_t j = 0; j < jobs.size(); ++j) {
-    ctx.deadline[j] = deadline_of(jobs[j]);
+    ctx.deadline[j] = jobs[j].deadline_seconds;
     if (ctx.deadline[j] > 0) ctx.any_deadline = true;
     ctx.job_cancel[j] = jobs[j].cancel;
     if (ctx.job_cancel[j] != nullptr) ctx.any_job_cancel = true;
@@ -941,8 +912,8 @@ Session::Batch Session::evaluate(std::span<const Job> jobs) {
     if (options_.cancel != nullptr && options_.cancel->cancelled()) break;
     const std::uint32_t participants =
         resolve_threads(options_.num_threads, wave->size());
-    evaluate_tasks(*wave, cache, pool_for(participants), participants,
-                   arenas(participants), slots, levels, ctx);
+    evaluate_tasks(*wave, cache, pool_for(participants), participants, slots,
+                   hits, ctx);
   }
   const double eval_seconds = seconds_since(batch.t0);
 
@@ -957,7 +928,7 @@ Session::Batch Session::evaluate(std::span<const Job> jobs) {
     jr.job = jobs[j];
     jr.status = finalize_status(ctx, j, slots, offset[j], offset[j + 1]);
     if (cache) {
-      accumulate_stats(jr.result.cache_stats, levels, slots, offset[j],
+      accumulate_stats(jr.result.cache_stats, hits, slots, offset[j],
                        offset[j + 1]);
     }
     if (jr.status.ok()) merge_sweep(jr.result, variants[j], slots, offset[j]);
@@ -978,7 +949,7 @@ DseResult Session::explore(const Job& job) {
   // expiry/cancel as its typed error.
   switch (jr.status.state) {
     case JobState::Failed: std::rethrow_exception(batch.errors.front());
-    case JobState::TimedOut: throw DeadlineExceeded(deadline_of(job));
+    case JobState::TimedOut: throw DeadlineExceeded(job.deadline_seconds);
     case JobState::Cancelled: throw CancelledError();
     case JobState::Ok: break;
   }
@@ -989,16 +960,8 @@ DseResult Session::explore(const Job& job) {
 TuneResult Session::tune(const Job& job) {
   const ResolvedJob r = resolve(job);
   return run_tune(r.n, *r.lower, *r.db, job.max_steps, r.max_lanes,
-                  cache_.get(), arenas(1)[0], options_.cancel, job.cancel,
-                  deadline_of(job), std::chrono::steady_clock::now());
-}
-
-cost::CostReport Session::baseline(const Job& job) {
-  // A one-lane sweep enumerates exactly the baseline variant.
-  Job single = job;
-  single.max_lanes = 1;
-  single.include_seq = false;
-  return std::move(explore(single).entries.front().report);
+                  cache_.get(), options_.cancel, job.cancel,
+                  job.deadline_seconds, std::chrono::steady_clock::now());
 }
 
 CampaignResult Session::run(const Campaign& campaign) {

@@ -5,27 +5,15 @@
 
 namespace tytra::ir {
 
-FunctionBuilder::FunctionBuilder(std::string name, FuncKind kind,
-                                 BuildArena* arena)
-    : arena_(arena) {
+FunctionBuilder::FunctionBuilder(std::string name, FuncKind kind) {
   func_.name = std::move(name);
   func_.kind = kind;
-  if (arena_ != nullptr) {
-    func_.params = arena_->take_params();
-    func_.body = arena_->take_body();
-  }
-}
-
-std::vector<Operand> FunctionBuilder::make_args(
-    std::initializer_list<Operand> il) {
-  std::vector<Operand> args =
-      arena_ != nullptr ? arena_->take_operands() : std::vector<Operand>{};
-  args.assign(il.begin(), il.end());
-  return args;
 }
 
 std::string FunctionBuilder::fresh_name() {
-  return "t" + std::to_string(next_id_++);
+  std::string name = "t";
+  name += std::to_string(next_id_++);
+  return name;
 }
 
 void FunctionBuilder::note_defined(const std::string& name, const Type& type) {
@@ -87,12 +75,6 @@ std::string FunctionBuilder::instr(Opcode op, Type type,
   return name;
 }
 
-std::string FunctionBuilder::instr(Opcode op, Type type,
-                                   std::initializer_list<Operand> args,
-                                   std::string name) {
-  return instr(op, type, make_args(args), std::move(name));
-}
-
 void FunctionBuilder::store(Type type, const std::string& target,
                             Operand value) {
   Instr instr;
@@ -100,7 +82,6 @@ void FunctionBuilder::store(Type type, const std::string& target,
   instr.type = type;
   instr.result = target;
   instr.result_global = true;
-  if (arena_ != nullptr) instr.args = arena_->take_operands();
   instr.args.push_back(std::move(value));
   func_.body.emplace_back(std::move(instr));
 }
@@ -123,11 +104,6 @@ void FunctionBuilder::reduce(Opcode op, Type type, const std::string& global,
   func_.body.emplace_back(std::move(instr));
 }
 
-void FunctionBuilder::reduce(Opcode op, Type type, const std::string& global,
-                             std::initializer_list<Operand> args) {
-  reduce(op, type, global, make_args(args));
-}
-
 void FunctionBuilder::call(std::string callee, std::vector<Operand> args,
                            FuncKind kind) {
   Call call;
@@ -137,15 +113,7 @@ void FunctionBuilder::call(std::string callee, std::vector<Operand> args,
   func_.body.emplace_back(std::move(call));
 }
 
-ModuleBuilder::ModuleBuilder(std::string name, BuildArena* arena) {
-  mod_.name = std::move(name);
-  if (arena != nullptr) {
-    mod_.memobjs = arena->take_memobjs();
-    mod_.streamobjs = arena->take_streamobjs();
-    mod_.ports = arena->take_ports();
-    mod_.functions = arena->take_functions();
-  }
-}
+ModuleBuilder::ModuleBuilder(std::string name) { mod_.name = std::move(name); }
 
 ModuleBuilder& ModuleBuilder::set_ndrange(std::uint64_t ngs) {
   mod_.meta.global_size = ngs;

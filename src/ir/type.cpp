@@ -4,20 +4,40 @@
 
 namespace tytra::ir {
 
-std::string ScalarType::to_string() const {
+namespace {
+
+const char* kind_prefix(ScalarKind kind) {
   switch (kind) {
-    case ScalarKind::UInt: return "ui" + std::to_string(bits);
-    case ScalarKind::SInt: return "i" + std::to_string(bits);
-    case ScalarKind::Float: return "f" + std::to_string(bits);
-    case ScalarKind::Fixed:
-      return "fx" + std::to_string(bits) + "." + std::to_string(frac);
+    case ScalarKind::UInt: return "ui";
+    case ScalarKind::SInt: return "i";
+    case ScalarKind::Float: return "f";
+    case ScalarKind::Fixed: return "fx";
   }
-  return "?";
+  return nullptr;
+}
+
+}  // namespace
+
+std::string ScalarType::to_string() const {
+  const char* prefix = kind_prefix(kind);
+  if (prefix == nullptr) return "?";
+  std::string out = prefix;
+  out += std::to_string(bits);
+  if (kind == ScalarKind::Fixed) {
+    out += '.';
+    out += std::to_string(frac);
+  }
+  return out;
 }
 
 std::string Type::to_string() const {
   if (lanes == 1) return scalar.to_string();
-  return "<" + std::to_string(lanes) + " x " + scalar.to_string() + ">";
+  std::string out = "<";
+  out += std::to_string(lanes);
+  out += " x ";
+  out += scalar.to_string();
+  out += '>';
+  return out;
 }
 
 namespace {

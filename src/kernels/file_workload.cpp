@@ -206,8 +206,7 @@ dse::KeyedLowerer file_lowerer(std::shared_ptr<const ir::Module> baseline) {
   std::string fingerprint = digest_fingerprint(*baseline);
   return dse::KeyedLowerer(
       std::move(fingerprint),
-      [m = std::move(baseline)](const frontend::Variant& v,
-                                ir::BuildArena* /*arena*/) {
+      [m = std::move(baseline)](const frontend::Variant& v) {
         return replicate_lanes(*m, v.lanes());
       });
 }

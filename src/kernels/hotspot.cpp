@@ -28,9 +28,9 @@ constexpr std::int64_t kCap = 2;   // thermal capacitance step factor
 
 constexpr const char* kHotspotInputs[] = {"temp", "power", "rx", "ry"};
 
-ir::Function build_hotspot_pe(const HotspotConfig& cfg, ir::BuildArena* arena) {
+ir::Function build_hotspot_pe(const HotspotConfig& cfg) {
   const Type t = Type::scalar_of(cfg.elem);
-  FunctionBuilder f0("f0", FuncKind::Pipe, arena);
+  FunctionBuilder f0("f0", FuncKind::Pipe);
   for (const char* name : kHotspotInputs) f0.param(t, name);
   f0.param(t, "tout");
 
@@ -69,13 +69,13 @@ ir::Function build_hotspot_pe(const HotspotConfig& cfg, ir::BuildArena* arena) {
 
 }  // namespace
 
-ir::Module make_hotspot(const HotspotConfig& cfg, ir::BuildArena* arena) {
+ir::Module make_hotspot(const HotspotConfig& cfg) {
   const std::uint64_t n = cfg.ngs();
   if (cfg.lanes == 0 || n % cfg.lanes != 0) {
     throw std::invalid_argument("make_hotspot: lane count must divide rows*cols");
   }
   const Type t = Type::scalar_of(cfg.elem);
-  ModuleBuilder mb("hotspot", arena);
+  ModuleBuilder mb("hotspot");
   mb.set_ndrange(n).set_nki(cfg.nki).set_form(cfg.form);
 
   const std::uint64_t per_lane = n / cfg.lanes;
@@ -94,7 +94,7 @@ ir::Module make_hotspot(const HotspotConfig& cfg, ir::BuildArena* arena) {
                        cfg.lanes == 1 ? 0 : per_lane);
   }
 
-  mb.add(build_hotspot_pe(cfg, arena));
+  mb.add(build_hotspot_pe(cfg));
 
   const auto lane_args = [&](std::uint32_t lane) {
     std::vector<Operand> args;
@@ -106,11 +106,11 @@ ir::Module make_hotspot(const HotspotConfig& cfg, ir::BuildArena* arena) {
     return args;
   };
 
-  FunctionBuilder main("main", FuncKind::Pipe, arena);
+  FunctionBuilder main("main", FuncKind::Pipe);
   if (cfg.lanes == 1) {
     main.call("f0", lane_args(0), FuncKind::Pipe);
   } else {
-    FunctionBuilder f1("f1", FuncKind::Par, arena);
+    FunctionBuilder f1("f1", FuncKind::Par);
     for (std::uint32_t lane = 0; lane < cfg.lanes; ++lane) {
       f1.call("f0", lane_args(lane), FuncKind::Pipe);
     }

@@ -24,14 +24,14 @@ using ir::Type;
 
 constexpr const char* kLavamdInputs[] = {"x", "y", "z", "q", "xn", "yn", "zn"};
 
-ir::Function build_lavamd_pe(const LavamdConfig& cfg, ir::BuildArena* arena) {
+ir::Function build_lavamd_pe(const LavamdConfig& cfg) {
   // With DV > 1 the whole datapath is replicated lane-wise: every value
   // and functional unit is dv-wide.
   const Type t = cfg.dv == 1
                      ? Type::scalar_of(cfg.elem)
                      : Type::vector_of(cfg.elem,
                                        static_cast<std::uint16_t>(cfg.dv));
-  FunctionBuilder f0("f0", FuncKind::Pipe, arena);
+  FunctionBuilder f0("f0", FuncKind::Pipe);
   for (const char* name : kLavamdInputs) f0.param(t, name);
   f0.param(t, "pot_out");
 
@@ -57,7 +57,7 @@ ir::Function build_lavamd_pe(const LavamdConfig& cfg, ir::BuildArena* arena) {
 
 }  // namespace
 
-ir::Module make_lavamd(const LavamdConfig& cfg, ir::BuildArena* arena) {
+ir::Module make_lavamd(const LavamdConfig& cfg) {
   if (cfg.lanes == 0 || cfg.particles % cfg.lanes != 0) {
     throw std::invalid_argument(
         "make_lavamd: lane count must divide the particle count");
@@ -70,7 +70,7 @@ ir::Module make_lavamd(const LavamdConfig& cfg, ir::BuildArena* arena) {
                      ? Type::scalar_of(cfg.elem)
                      : Type::vector_of(cfg.elem,
                                        static_cast<std::uint16_t>(cfg.dv));
-  ModuleBuilder mb("lavamd", arena);
+  ModuleBuilder mb("lavamd");
   mb.set_ndrange(cfg.particles).set_nki(cfg.nki).set_form(cfg.form);
 
   const std::uint64_t per_lane = cfg.particles / cfg.lanes;
@@ -88,7 +88,7 @@ ir::Module make_lavamd(const LavamdConfig& cfg, ir::BuildArena* arena) {
                        ir::AccessPattern::Contiguous, 1, per_lane);
   }
 
-  mb.add(build_lavamd_pe(cfg, arena));
+  mb.add(build_lavamd_pe(cfg));
 
   const auto lane_args = [&](std::uint32_t lane) {
     std::vector<Operand> args;
@@ -100,11 +100,11 @@ ir::Module make_lavamd(const LavamdConfig& cfg, ir::BuildArena* arena) {
     return args;
   };
 
-  FunctionBuilder main("main", FuncKind::Pipe, arena);
+  FunctionBuilder main("main", FuncKind::Pipe);
   if (cfg.lanes == 1) {
     main.call("f0", lane_args(0), FuncKind::Pipe);
   } else {
-    FunctionBuilder f1("f1", FuncKind::Par, arena);
+    FunctionBuilder f1("f1", FuncKind::Par);
     for (std::uint32_t lane = 0; lane < cfg.lanes; ++lane) {
       f1.call("f0", lane_args(lane), FuncKind::Pipe);
     }

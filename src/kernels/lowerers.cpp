@@ -53,12 +53,12 @@ dse::KeyedLowerer sor_lowerer(SorConfig config) {
                        .take();
   return dse::KeyedLowerer(
       std::move(fp),
-      [config](const frontend::Variant& v, ir::BuildArena* arena) {
+      [config](const frontend::Variant& v) {
         // Copy before patching lanes: workers share this closure and call
         // it concurrently.
         SorConfig c = config;
         c.lanes = v.lanes();
-        return make_sor(c, arena);
+        return make_sor(c);
       });
 }
 
@@ -72,10 +72,10 @@ dse::KeyedLowerer hotspot_lowerer(HotspotConfig config) {
                        .take();
   return dse::KeyedLowerer(
       std::move(fp),
-      [config](const frontend::Variant& v, ir::BuildArena* arena) {
+      [config](const frontend::Variant& v) {
         HotspotConfig c = config;
         c.lanes = v.lanes();
-        return make_hotspot(c, arena);
+        return make_hotspot(c);
       });
 }
 
@@ -89,10 +89,10 @@ dse::KeyedLowerer lavamd_lowerer(LavamdConfig config) {
                        .take();
   return dse::KeyedLowerer(
       std::move(fp),
-      [config](const frontend::Variant& v, ir::BuildArena* arena) {
+      [config](const frontend::Variant& v) {
         LavamdConfig c = config;
         c.lanes = v.lanes();
-        return make_lavamd(c, arena);
+        return make_lavamd(c);
       });
 }
 

@@ -27,9 +27,9 @@ constexpr const char* kSorInputs[] = {"p",    "rhs",  "cn1",  "cn2l", "cn2s",
 /// Builds the per-lane SOR pipeline @f0 (Fig. 12): offsets creating the six
 /// neighbour streams, the weighted stencil sum, relaxation, output stream
 /// and error reduction.
-ir::Function build_sor_pe(const SorConfig& cfg, ir::BuildArena* arena) {
+ir::Function build_sor_pe(const SorConfig& cfg) {
   const Type t = Type::scalar_of(cfg.elem);
-  FunctionBuilder f0("f0", FuncKind::Pipe, arena);
+  FunctionBuilder f0("f0", FuncKind::Pipe);
   for (const char* name : kSorInputs) f0.param(t, name);
   f0.param(t, "pout");
 
@@ -70,7 +70,7 @@ ir::Function build_sor_pe(const SorConfig& cfg, ir::BuildArena* arena) {
 
 }  // namespace
 
-ir::Module make_sor(const SorConfig& cfg, ir::BuildArena* arena) {
+ir::Module make_sor(const SorConfig& cfg) {
   const std::uint64_t n = cfg.ngs();
   if (cfg.lanes == 0 || n % cfg.lanes != 0) {
     throw std::invalid_argument("make_sor: lane count must divide im*jm*km");
@@ -78,8 +78,7 @@ ir::Module make_sor(const SorConfig& cfg, ir::BuildArena* arena) {
   const Type t = Type::scalar_of(cfg.elem);
 
   ModuleBuilder mb("sor_" + std::string(cfg.lanes > 1 ? "c1x" : "c2") +
-                       (cfg.lanes > 1 ? std::to_string(cfg.lanes) : ""),
-                   arena);
+                   (cfg.lanes > 1 ? std::to_string(cfg.lanes) : ""));
   mb.set_ndrange(n).set_nki(cfg.nki).set_form(cfg.form);
 
   const std::uint64_t per_lane = n / cfg.lanes;
@@ -98,7 +97,7 @@ ir::Module make_sor(const SorConfig& cfg, ir::BuildArena* arena) {
     }
   }
 
-  mb.add(build_sor_pe(cfg, arena));
+  mb.add(build_sor_pe(cfg));
 
   const auto lane_args = [&](std::uint32_t lane) {
     std::vector<Operand> args;
@@ -112,11 +111,11 @@ ir::Module make_sor(const SorConfig& cfg, ir::BuildArena* arena) {
     return args;
   };
 
-  FunctionBuilder main("main", FuncKind::Pipe, arena);
+  FunctionBuilder main("main", FuncKind::Pipe);
   if (cfg.lanes == 1) {
     main.call("f0", lane_args(0), FuncKind::Pipe);
   } else {
-    FunctionBuilder f1("f1", FuncKind::Par, arena);
+    FunctionBuilder f1("f1", FuncKind::Par);
     for (std::uint32_t lane = 0; lane < cfg.lanes; ++lane) {
       f1.call("f0", lane_args(lane), FuncKind::Pipe);
     }

@@ -11,11 +11,17 @@ std::string Diag::to_json() const {
   if (code.empty()) {
     out += "null";
   } else {
-    out += "\"" + json::escape(code) + "\"";
+    out += '"';
+    out += json::escape(code);
+    out += '"';
   }
-  out += ", \"line\": " + std::to_string(loc.line);
-  out += ", \"col\": " + std::to_string(loc.col);
-  out += ", \"message\": \"" + json::escape(message) + "\"}";
+  out += ", \"line\": ";
+  out += std::to_string(loc.line);
+  out += ", \"col\": ";
+  out += std::to_string(loc.col);
+  out += ", \"message\": \"";
+  out += json::escape(message);
+  out += "\"}";
   return out;
 }
 

@@ -83,7 +83,7 @@ const std::vector<std::string>& known_names() {
   static const std::vector<std::string> names = {
       "binio.read",          // binio::Reader::from_bytes
       "binio.write",         // binio::Writer::write
-      "cache.insert",        // CostCache entry publication (both levels)
+      "cache.insert",        // CostCache entry publication
       "calibration.measure", // cost::DeviceCostDb::calibrate
       "dse.pool-task",       // one variant evaluation in evaluate_tasks
       "frame.read",          // framing::read_frame (daemon wire protocol)

@@ -207,11 +207,11 @@ TEST(CliSnapshot, CacheDumpVerifyInspectLoad) {
 
   const RunResult inspect = run_cc("cache inspect " + snap.path);
   EXPECT_EQ(inspect.exit_code, 0) << inspect.err;
-  for (const std::string section :
-       {"meta", "structural", "variant", "calibration"}) {
+  for (const std::string section : {"meta", "entries", "calibration"}) {
     EXPECT_NE(inspect.out.find("section " + section), std::string::npos)
         << inspect.out;
   }
+  EXPECT_EQ(inspect.out.find("structural"), std::string::npos) << inspect.out;
   EXPECT_NE(inspect.out.find("calibration stratix-v-gsd8"), std::string::npos)
       << inspect.out;
 
@@ -219,6 +219,19 @@ TEST(CliSnapshot, CacheDumpVerifyInspectLoad) {
   EXPECT_EQ(load.exit_code, 0) << load.err;
   EXPECT_NE(load.out.find("loaded " + snap.path), std::string::npos)
       << load.out;
+
+  // Every action reports one entry count, and they agree.
+  const auto entries = [](const std::string& out) {
+    const std::size_t at = out.find("entries=");
+    return at == std::string::npos ? std::string("missing")
+                                   : out.substr(at, out.find(' ', at) - at);
+  };
+  EXPECT_NE(entries(dump.out), "missing") << dump.out;
+  EXPECT_NE(entries(dump.out), "entries=0") << dump.out;
+  EXPECT_EQ(entries(verify.out), entries(dump.out)) << verify.out;
+  EXPECT_EQ(entries(load.out), entries(dump.out)) << load.out;
+  EXPECT_NE(inspect.out.find(entries(dump.out) + "\n"), std::string::npos)
+      << inspect.out;
 }
 
 TEST(CliSnapshot, VerifyFailsNonzeroOnEveryInjectedCorruption) {
@@ -299,45 +312,49 @@ TEST(CliSnapshot, CorruptSnapshotDegradesToColdExitZero) {
   EXPECT_EQ(healed.exit_code, 0) << healed.err;
 }
 
-/// A hand-built payload-v1 snapshot: a valid container whose meta section
-/// names the previous payload schema.
-void write_v1_snapshot(const std::string& path) {
+/// A hand-built snapshot of an older payload schema: a valid container
+/// whose meta section names `version`, with the sections v1 and v2 wrote
+/// (meta, structural, variant, calibration).
+void write_old_snapshot(const std::string& path, std::uint32_t version) {
   tytra::binio::Writer w;
   tytra::binio::Encoder meta;
-  meta.u32(1);
+  meta.u32(version);
   w.add_section(1, meta.take());
   for (const std::uint32_t id : {2u, 3u, 4u}) w.add_section(id, {});
   ASSERT_TRUE(w.write(path).ok());
 }
 
-TEST(CliSnapshot, PayloadV1SnapshotColdStartsAndFailsVerify) {
-  TempSnap snap("payload_v1");
-  TempSnap fresh("payload_v1_cold");
-  const std::string args = "explore sor --nd 16 --pareto --snapshot ";
-  const RunResult cold = run_cc(args + fresh.path);
-  ASSERT_EQ(cold.exit_code, 0) << cold.err;
+TEST(CliSnapshot, OlderPayloadSnapshotsColdStartAndFailVerify) {
+  for (const std::uint32_t version : {1u, 2u}) {
+    SCOPED_TRACE("payload v" + std::to_string(version));
+    TempSnap snap("payload_old");
+    TempSnap fresh("payload_old_cold");
+    const std::string args = "explore sor --nd 16 --pareto --snapshot ";
+    const RunResult cold = run_cc(args + fresh.path);
+    ASSERT_EQ(cold.exit_code, 0) << cold.err;
 
-  write_v1_snapshot(snap.path);
-  const RunResult verify = run_cc("cache verify " + snap.path);
-  EXPECT_EQ(verify.exit_code, 1);
-  EXPECT_TRUE(verify.out.empty()) << verify.out;
-  EXPECT_NE(verify.err.find("payload version 1 unsupported (this build reads "
-                            "2)"),
-            std::string::npos)
-      << verify.err;
+    write_old_snapshot(snap.path, version);
+    const RunResult verify = run_cc("cache verify " + snap.path);
+    EXPECT_EQ(verify.exit_code, 1);
+    EXPECT_TRUE(verify.out.empty()) << verify.out;
+    EXPECT_NE(verify.err.find("payload version " + std::to_string(version) +
+                              " unsupported (this build reads 3)"),
+              std::string::npos)
+        << verify.err;
 
-  const RunResult degraded = run_cc(args + snap.path);
-  EXPECT_EQ(degraded.exit_code, 0) << degraded.err;
-  EXPECT_EQ(strip_banner(degraded.out), strip_banner(cold.out));
-  EXPECT_EQ(std::count(degraded.err.begin(), degraded.err.end(), '\n'), 1)
-      << degraded.err;
-  EXPECT_NE(degraded.err.find("snapshot-load path='" + snap.path + "'"),
-            std::string::npos)
-      << degraded.err;
-  EXPECT_NE(degraded.err.find("action=cold-start"), std::string::npos)
-      << degraded.err;
-  // The cold run saved a current snapshot over the old one.
-  EXPECT_EQ(run_cc("cache verify " + snap.path).exit_code, 0);
+    const RunResult degraded = run_cc(args + snap.path);
+    EXPECT_EQ(degraded.exit_code, 0) << degraded.err;
+    EXPECT_EQ(strip_banner(degraded.out), strip_banner(cold.out));
+    EXPECT_EQ(std::count(degraded.err.begin(), degraded.err.end(), '\n'), 1)
+        << degraded.err;
+    EXPECT_NE(degraded.err.find("snapshot-load path='" + snap.path + "'"),
+              std::string::npos)
+        << degraded.err;
+    EXPECT_NE(degraded.err.find("action=cold-start"), std::string::npos)
+        << degraded.err;
+    // The cold run saved a current snapshot over the old one.
+    EXPECT_EQ(run_cc("cache verify " + snap.path).exit_code, 0);
+  }
 }
 
 /// (inode, mtime) of a file: a rewrite through tmp + rename changes the

@@ -72,7 +72,9 @@ TEST(Dse, BestBeatsMaxjBaseline) {
   // pipeline-only implementation.
   const DseResult r = sweep(ir::ExecForm::B);
   dse::Session session;
-  const auto baseline = session.baseline(sor_job(ir::ExecForm::B));
+  dse::Job one_lane = sor_job(ir::ExecForm::B);
+  one_lane.max_lanes = 1;
+  const auto baseline = session.explore(one_lane).entries.front().report;
   ASSERT_TRUE(r.best.has_value());
   EXPECT_GT(r.entries[*r.best].report.throughput.ekit,
             baseline.throughput.ekit * 2.0);

@@ -75,6 +75,17 @@ dse::Job sor_job(const cost::DeviceCostDb& db) {
   return fn_job(kDim * kDim * kDim, sor_lower(), db);
 }
 
+/// sor_job through a keyed lowerer: the same designs, memoized by
+/// variant key.
+dse::Job keyed_sor_job(const cost::DeviceCostDb& db) {
+  kernels::SorConfig cfg;
+  cfg.im = cfg.jm = cfg.km = kDim;
+  cfg.nki = 10;
+  dse::Job job = sor_job(db);
+  job.lower = std::make_shared<dse::KeyedLowerer>(kernels::sor_lowerer(cfg));
+  return job;
+}
+
 dse::SessionOptions threads(std::uint32_t n, bool cache = false) {
   dse::SessionOptions so;
   so.num_threads = n;
@@ -140,12 +151,12 @@ TEST(DseParallel, LowerExceptionPropagatesFromWorkers) {
 
 TEST(DseCache, ColdSweepMissesThenWarmSweepHits) {
   dse::Session session(threads(2, /*cache=*/true));
-  const DseResult cold = session.explore(sor_job(fig15_db()));
+  const DseResult cold = session.explore(keyed_sor_job(fig15_db()));
   EXPECT_EQ(cold.cache_stats.misses, cold.entries.size());
   EXPECT_EQ(cold.cache_stats.hits, 0u);
   EXPECT_EQ(session.cache()->size(), cold.entries.size());
 
-  const DseResult warm = session.explore(sor_job(fig15_db()));
+  const DseResult warm = session.explore(keyed_sor_job(fig15_db()));
   EXPECT_EQ(warm.cache_stats.hits, warm.entries.size());
   EXPECT_EQ(warm.cache_stats.misses, 0u);
   EXPECT_EQ(dse::format_sweep(warm), dse::format_sweep(cold));
@@ -154,8 +165,8 @@ TEST(DseCache, ColdSweepMissesThenWarmSweepHits) {
 TEST(DseCache, CachedSweepMatchesUncachedByteForByte) {
   dse::Session cached(threads(1, /*cache=*/true));
   const auto a = sweep(sor_job(fig15_db()), 1);
-  cached.explore(sor_job(fig15_db()));  // fill
-  const auto b = cached.explore(sor_job(fig15_db()));
+  cached.explore(keyed_sor_job(fig15_db()));  // fill
+  const auto b = cached.explore(keyed_sor_job(fig15_db()));
   EXPECT_EQ(dse::format_sweep(b), dse::format_sweep(a));
   EXPECT_EQ(dse::format_pareto(b), dse::format_pareto(a));
 }
@@ -164,8 +175,8 @@ TEST(DseCache, DistinguishesDevices) {
   // The same variants costed against different calibrations must not
   // cross-hit: the device identity is part of the key.
   dse::Session session;
-  const auto on_fig15 = session.explore(sor_job(fig15_db()));
-  const auto on_sv = session.explore(sor_job(sv_db()));
+  const auto on_fig15 = session.explore(keyed_sor_job(fig15_db()));
+  const auto on_sv = session.explore(keyed_sor_job(sv_db()));
   const CostCache& cache = *session.cache();
   EXPECT_EQ(on_fig15.cache_stats.misses, on_fig15.entries.size());
   EXPECT_EQ(on_sv.cache_stats.misses, on_sv.entries.size());
@@ -177,9 +188,9 @@ TEST(DseCache, TunerRidesSweepCache) {
   // The feedback path: a tuner walk after a full sweep re-visits only
   // variants the sweep already costed.
   dse::Session session;
-  session.explore(sor_job(fig15_db()));
+  session.explore(keyed_sor_job(fig15_db()));
   const auto before = session.cache()->stats();
-  const auto tuned = session.tune(sor_job(fig15_db()));
+  const auto tuned = session.tune(keyed_sor_job(fig15_db()));
   const auto after = session.cache()->stats();
   EXPECT_GE(tuned.trajectory.size(), 2u);
   EXPECT_EQ(after.misses, before.misses);  // nothing new to evaluate
@@ -188,12 +199,12 @@ TEST(DseCache, TunerRidesSweepCache) {
 
 TEST(DseCache, ClearResetsEverything) {
   dse::Session session;
-  session.explore(sor_job(fig15_db()));
+  session.explore(keyed_sor_job(fig15_db()));
   CostCache& cache = *session.cache();
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.stats().lookups(), 0u);
-  const auto r = session.explore(sor_job(fig15_db()));
+  const auto r = session.explore(keyed_sor_job(fig15_db()));
   EXPECT_EQ(r.cache_stats.misses, r.entries.size());
 }
 
@@ -292,21 +303,6 @@ TEST(DsePareto, SkylineMatchesBruteForceFrontier) {
   }
 }
 
-TEST(DseCache, FewerShardsThanWorkersStaysDeterministic) {
-  // Workers are no longer clamped to the shard count (reads are
-  // lock-free; shards only spread insert contention), so 8 workers
-  // really do hammer a 1-shard cache here — the sweep must still be
-  // byte-identical.
-  const DseResult base = sweep(sor_job(fig15_db()), 1);
-  dse::SessionOptions so = threads(8, /*cache=*/true);
-  so.cache_shards = 1;
-  dse::Session session(so);
-  const DseResult r = session.explore(sor_job(fig15_db()));
-  EXPECT_EQ(dse::format_sweep(r), dse::format_sweep(base));
-  EXPECT_EQ(session.cache()->shard_count(), 1u);
-  EXPECT_EQ(r.cache_stats.misses, r.entries.size());
-}
-
 TEST(DsePareto, NoValidEntriesMeansEmptyFrontier) {
   // A device too small for even one lane: every variant is invalid.
   auto tiny = target::fig15_profile();
@@ -341,32 +337,43 @@ TEST(DseCacheHammer, ConcurrentMixedHitsAndMissesReturnExactReports) {
   // 64-slot initial table): lane x nki SOR variants plus two other
   // kernels, against two calibrations.
   struct Design {
-    ir::Module module;
+    std::shared_ptr<const dse::KeyedLowerer> lower;
+    frontend::Variant variant;
     const cost::DeviceCostDb* db;
     std::string expected;
   };
+  const auto lanes_variant = [](std::uint64_t n, std::uint32_t lanes) {
+    const frontend::Variant base = frontend::baseline_variant(n);
+    return lanes == 1 ? base
+                      : frontend::reshape_to(base, lanes, frontend::ParAnn::Par);
+  };
   std::vector<Design> designs;
-  for (const std::uint32_t lanes : {1u, 2u, 3u, 4u, 6u, 8u, 12u, 16u}) {
-    for (const std::uint32_t nki : {1u, 5u, 10u, 20u, 40u}) {
-      kernels::SorConfig cfg;
-      cfg.im = cfg.jm = cfg.km = kDim;
-      cfg.lanes = lanes;
-      cfg.nki = nki;
-      designs.push_back({kernels::make_sor(cfg), &fig15_db(), {}});
+  for (const std::uint32_t nki : {1u, 5u, 10u, 20u, 40u}) {
+    kernels::SorConfig cfg;
+    cfg.im = cfg.jm = cfg.km = kDim;
+    cfg.nki = nki;
+    const auto sor =
+        std::make_shared<const dse::KeyedLowerer>(kernels::sor_lowerer(cfg));
+    for (const std::uint32_t lanes : {1u, 2u, 3u, 4u, 6u, 8u, 12u, 16u}) {
+      designs.push_back({sor, lanes_variant(cfg.ngs(), lanes), &fig15_db(), {}});
     }
   }
+  kernels::HotspotConfig hcfg;
+  hcfg.rows = hcfg.cols = kDim;
+  const auto hotspot =
+      std::make_shared<const dse::KeyedLowerer>(kernels::hotspot_lowerer(hcfg));
+  kernels::LavamdConfig lcfg;
+  lcfg.particles = 1024;
+  const auto lavamd =
+      std::make_shared<const dse::KeyedLowerer>(kernels::lavamd_lowerer(lcfg));
   for (const std::uint32_t lanes : {1u, 2u, 4u, 8u}) {
-    kernels::HotspotConfig hcfg;
-    hcfg.rows = hcfg.cols = kDim;
-    hcfg.lanes = lanes;
-    designs.push_back({kernels::make_hotspot(hcfg), &sv_db(), {}});
-    kernels::LavamdConfig lcfg;
-    lcfg.particles = 1024;
-    lcfg.lanes = lanes;
-    designs.push_back({kernels::make_lavamd(lcfg), &fig15_db(), {}});
+    designs.push_back({hotspot, lanes_variant(hcfg.ngs(), lanes), &sv_db(), {}});
+    designs.push_back(
+        {lavamd, lanes_variant(lcfg.particles, lanes), &fig15_db(), {}});
   }
   for (Design& d : designs) {
-    d.expected = stable_report(cost::cost_design(d.module, *d.db));
+    d.expected =
+        stable_report(cost::cost_design(d.lower->lower(d.variant), *d.db));
   }
 
   constexpr int kThreads = 8;
@@ -380,7 +387,7 @@ TEST(DseCacheHammer, ConcurrentMixedHitsAndMissesReturnExactReports) {
       for (int i = 0; i < kLookups; ++i) {
         const auto& d = designs[static_cast<std::size_t>(rng.uniform_int(
             0, static_cast<std::int64_t>(designs.size()) - 1))];
-        const cost::CostReport got = cache.cost(d.module, *d.db);
+        const cost::CostReport got = cache.cost(d.variant, *d.lower, *d.db);
         if (stable_report(got) != d.expected) {
           mismatches.fetch_add(1, std::memory_order_relaxed);
         }
@@ -441,12 +448,10 @@ TEST(DseCacheHammer, ConcurrentVariantKeyLookupsReturnExactReports) {
   for (int t = 0; t < kThreads; ++t) {
     pool.emplace_back([&, t] {
       tytra::SplitMix64 rng(0x7000 + static_cast<std::uint64_t>(t));
-      ir::BuildArena arena;
       for (int i = 0; i < kLookups; ++i) {
         const auto& p = probes[static_cast<std::size_t>(rng.uniform_int(
             0, static_cast<std::int64_t>(probes.size()) - 1))];
-        const cost::CostReport got =
-            cache.cost(p.variant, *p.lower, fig15_db(), nullptr, &arena);
+        const cost::CostReport got = cache.cost(p.variant, *p.lower, fig15_db());
         if (stable_report(got) != p.expected) {
           mismatches.fetch_add(1, std::memory_order_relaxed);
         }
@@ -459,9 +464,10 @@ TEST(DseCacheHammer, ConcurrentVariantKeyLookupsReturnExactReports) {
   EXPECT_EQ(cache.size(), probes.size());
   EXPECT_EQ(cache.variant_size(), probes.size());
   const auto stats = cache.stats();
-  // The steady state is variant-key hits: everything beyond the initial
+  // The steady state is hits: everything beyond the initial
   // miss-and-insert races resolves before lowering.
-  EXPECT_GE(stats.variant_hits,
+  EXPECT_EQ(stats.variant_hits, stats.hits);
+  EXPECT_GE(stats.hits,
             static_cast<std::uint64_t>(kThreads) * kLookups -
                 static_cast<std::uint64_t>(kThreads) * probes.size());
 }

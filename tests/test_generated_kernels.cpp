@@ -1,7 +1,7 @@
 // Property suite over the seeded random-kernel generator: hundreds of
 // randomized pipelined designs driven through the printer/parser, the
 // structural digest, lane replication, the cost model vs the cycle
-// simulator, and the two-level cost cache. Each failing design is
+// simulator, and the variant-keyed cost cache. Each failing design is
 // reproducible from its printed seed alone (generate_kernel is a pure
 // function of the seed) and is dumped as a `.tir` artifact.
 //
@@ -228,24 +228,25 @@ TEST(GeneratedKernels, CacheLevelsAgreeUnderSessionSweep) {
       const dse::DseResult warm = session.explore(job);
       ASSERT_EQ(warm.cache_stats.misses, 0u) << "seed " << seed;
       ASSERT_EQ(warm.cache_stats.variant_hits, warm.cache_stats.hits)
-          << "seed " << seed << ": warm repeat fell through to the "
-          << "structural level";
+          << "seed " << seed;
       ASSERT_EQ(dse::format_sweep(warm), dse::format_sweep(cold))
           << "seed " << seed;
 
-      // A key-less lowerer over the same baseline must agree at the
-      // structural level: same designs, same reports, zero variant hits.
+      // A key-less lowerer over the same baseline cannot be memoized:
+      // every variant misses, nothing is inserted, and the designs and
+      // reports are the keyed sweep's.
       dse::Job keyless = job;
       keyless.lower = std::make_shared<dse::FnLowerer>(
           [baseline](const frontend::Variant& v) {
             return kernels::replicate_lanes(*baseline, v.lanes());
           });
-      const dse::DseResult structural = session.explore(keyless);
-      ASSERT_EQ(structural.cache_stats.misses, 0u)
-          << "seed " << seed << ": structurally identical design missed "
-          << "the digest level";
-      ASSERT_EQ(structural.cache_stats.variant_hits, 0u) << "seed " << seed;
-      ASSERT_EQ(dse::format_sweep(structural), dse::format_sweep(cold))
+      const std::size_t entries = session.cache()->size();
+      const dse::DseResult uncached = session.explore(keyless);
+      ASSERT_EQ(uncached.cache_stats.misses, uncached.entries.size())
+          << "seed " << seed;
+      ASSERT_EQ(uncached.cache_stats.hits, 0u) << "seed " << seed;
+      ASSERT_EQ(session.cache()->size(), entries) << "seed " << seed;
+      ASSERT_EQ(dse::format_sweep(uncached), dse::format_sweep(cold))
           << "seed " << seed;
     }
   }

@@ -1,8 +1,7 @@
 // Tests for the persistent dse::ThreadPool and the campaign-wide
-// scheduler built on it: worker-index pinning (the per-worker arena
-// contract), batch semantics and exception propagation, campaign output
-// byte-identity across thread counts, and flattened-vs-job-by-job
-// parity.
+// scheduler built on it: worker-index pinning, batch semantics and
+// exception propagation, campaign output byte-identity across thread
+// counts, and flattened-vs-job-by-job parity.
 
 #include <gtest/gtest.h>
 
@@ -42,8 +41,8 @@ TEST(Pool, RunsEveryParticipantExactlyOnceWithDistinctIndices) {
 }
 
 TEST(Pool, CallerIsParticipantZeroAndWorkerIndicesArePinned) {
-  // Worker index i must map to the same OS thread across batches — the
-  // contract that makes the session's per-worker arenas race-free.
+  // Worker index i must map to the same OS thread across batches, so
+  // state a caller indexes by worker is only ever touched by one thread.
   dse::ThreadPool pool(3);
   std::mutex mu;
   std::map<std::uint32_t, std::set<std::thread::id>> ids;

@@ -118,24 +118,29 @@ const Value* final_for(const std::vector<Value>& frames, std::uint32_t req_id) {
 
 /// Zeroes the value of `"key": <scalar>` everywhere — wall-clock fields
 /// differ between any two runs and are excluded from identity checks.
-std::string scrub_key(std::string text, const std::string& key) {
-  const std::string needle = "\"" + key + "\": ";
-  std::size_t pos = 0;
-  while ((pos = text.find(needle, pos)) != std::string::npos) {
+std::string scrub_key(const std::string& text, const std::string& key) {
+  std::string needle = "\"";
+  needle += key;
+  needle += "\": ";
+  std::string out;
+  std::size_t from = 0;
+  for (std::size_t pos; (pos = text.find(needle, from)) != std::string::npos;) {
     const std::size_t start = pos + needle.size();
     std::size_t end = start;
     while (end < text.size() && text[end] != ',' && text[end] != '\n' &&
            text[end] != '}') {
       ++end;
     }
-    text.replace(start, end - start, "0");
-    pos = start;
+    out.append(text, from, start - from);
+    out += '0';
+    from = end;
   }
-  return text;
+  out.append(text, from);
+  return out;
 }
 
-std::string scrub_times(std::string text) {
-  return scrub_key(scrub_key(std::move(text), "explore_seconds"), "seconds");
+std::string scrub_times(const std::string& text) {
+  return scrub_key(scrub_key(text, "explore_seconds"), "seconds");
 }
 
 /// Empties every `"cache": {...}` object — hit counts depend on which

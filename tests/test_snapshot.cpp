@@ -1,7 +1,7 @@
 // Persistence-layer tests: the binio container's corruption-detection
 // contract (every truncation and every single-bit flip is detected; writes
 // are atomic), exact round-trips of cost reports, calibrated databases and
-// the two-level cost cache, and the Session snapshot path — warm starts
+// the variant-keyed cost cache, and the Session snapshot path — warm starts
 // byte-identical to cold runs, every failure mode degrading to a cold
 // start, and the debug-build quiescence guard on CostCache::clear().
 
@@ -20,6 +20,7 @@
 #include "tytra/dse/session.hpp"
 #include "tytra/frontend/transform.hpp"
 #include "tytra/ir/printer.hpp"
+#include "tytra/ir/structural_hash.hpp"
 #include "tytra/kernels/registry.hpp"
 #include "tytra/support/binio.hpp"
 #include "tytra/support/failpoint.hpp"
@@ -89,29 +90,63 @@ FileStamp stamp_of(const std::string& path) {
           static_cast<std::uint64_t>(st.st_size)};
 }
 
-/// The snapshot container's section ids (see src/dse/session.cpp).
+/// The snapshot container's section ids (see src/dse/session.cpp). Payload
+/// v3 writes meta, entries and calibration; v1 and v2 files also carried
+/// a variant section (id 3), and their id 2 held structural entries.
 constexpr std::uint32_t kSecMeta = 1;
-constexpr std::uint32_t kSecStructural = 2;
+constexpr std::uint32_t kSecEntries = 2;
 constexpr std::uint32_t kSecVariant = 3;
 constexpr std::uint32_t kSecCalibration = 4;
 
 /// Writes a snapshot container by hand, checksums and all, so a test can
-/// place any payload behind a valid frame.
-void write_snapshot(const std::string& path, std::uint32_t payload_version,
-                    std::string structural, std::string variant,
-                    std::string calibration) {
+/// place any payload behind a valid frame: the meta section carrying
+/// `payload_version`, then `sections` in order.
+void write_snapshot(
+    const std::string& path, std::uint32_t payload_version,
+    std::vector<std::pair<std::uint32_t, std::string>> sections) {
   binio::Writer w;
   binio::Encoder meta;
   meta.u32(payload_version);
   w.add_section(kSecMeta, meta.take());
-  w.add_section(kSecStructural, std::move(structural));
-  w.add_section(kSecVariant, std::move(variant));
-  w.add_section(kSecCalibration, std::move(calibration));
+  for (auto& [id, payload] : sections) w.add_section(id, std::move(payload));
   auto written = w.write(path);
   ASSERT_TRUE(written.ok()) << written.error_message();
 }
 
-/// A payload-v1 snapshot as the previous release wrote it: structural
+/// The calibration section of a snapshot holding `db`.
+std::string calibration_section(const cost::DeviceCostDb& db) {
+  binio::Encoder calib;
+  calib.u64(1);
+  calib.str(db.device().name);
+  calib.u64(db.fingerprint());
+  db.save(calib);
+  return calib.take();
+}
+
+/// A payload-v2 snapshot as the previous release wrote it: structural
+/// entries (digest, report) and variant entries (key, design digest).
+void write_v2_snapshot(const std::string& path) {
+  const auto& db = preset_db("stratix-v-gsd8");
+  dse::Job job = registry_job("sor", 8);
+  const ir::Module module =
+      job.lower->lower(frontend::baseline_variant(job.n));
+  const ir::StructuralDigest digest = ir::structural_digest(module);
+  binio::Encoder structural;
+  structural.u64(digest.key);
+  structural.u64(digest.check);
+  cost::save_report(structural, cost::cost_design(module, db));
+  binio::Encoder variant;
+  variant.u64(digest.key ^ 1);
+  variant.u64(digest.check ^ 1);
+  variant.u64(digest.key);
+  variant.u64(digest.check);
+  write_snapshot(path, 2,
+                 {{kSecEntries, structural.take()},
+                  {kSecVariant, variant.take()},
+                  {kSecCalibration, calibration_section(db)}});
+}
+
+/// A payload-v1 snapshot as an older release wrote it: structural
 /// entries carried the printed IR, variant entries a second report.
 void write_v1_snapshot(const std::string& path) {
   const auto& db = preset_db("stratix-v-gsd8");
@@ -119,7 +154,7 @@ void write_v1_snapshot(const std::string& path) {
   const ir::Module module =
       job.lower->lower(frontend::baseline_variant(job.n));
   const cost::CostReport report = cost::cost_design(module, db);
-  const std::uint64_t key = dse::design_key(module, db);
+  const std::uint64_t key = ir::structural_digest(module).key;
   binio::Encoder structural;
   structural.u64(key);
   structural.u64(~key);
@@ -132,12 +167,10 @@ void write_v1_snapshot(const std::string& path) {
   variant.u64(key);
   variant.u64(~key);
   cost::save_report(variant, report);
-  binio::Encoder calib;
-  calib.u64(1);
-  calib.str(db.device().name);
-  calib.u64(db.fingerprint());
-  db.save(calib);
-  write_snapshot(path, 1, structural.take(), variant.take(), calib.take());
+  write_snapshot(path, 1,
+                 {{kSecEntries, structural.take()},
+                  {kSecVariant, variant.take()},
+                  {kSecCalibration, calibration_section(db)}});
 }
 
 // ---------------------------------------------------------------------------
@@ -434,7 +467,7 @@ TEST(SnapshotPayloads, CalibrationUnderAForeignFingerprintIsRejected) {
   calib.str(db.device().name);
   calib.u64(db.fingerprint() + 1);
   db.save(calib);
-  write_snapshot(tmp.path, 2, {}, {}, calib.take());
+  write_snapshot(tmp.path, 3, {{kSecEntries, {}}, {kSecCalibration, calib.take()}});
   auto verified = dse::verify_snapshot(tmp.path);
   ASSERT_FALSE(verified.ok());
   EXPECT_NE(verified.diag().message.find("does not match its stored "
@@ -462,107 +495,64 @@ TEST(SnapshotPayloads, TruncatedCalibrationIsADiagnosticNotACrash) {
 // CostCache dump/load
 // ---------------------------------------------------------------------------
 
-TEST(SnapshotCache, StructuralEntriesRoundTripAndHit) {
+TEST(SnapshotCache, EntriesRoundTripAndHit) {
   const auto& db = preset_db("stratix-v-gsd8");
   dse::Job job = registry_job("sor", 8);
-  const ir::Module module =
-      job.lower->lower(frontend::baseline_variant(job.n));
+  const frontend::Variant v = frontend::baseline_variant(job.n);
 
   dse::CostCache first;
-  const cost::CostReport fresh = first.cost(module, db);
-  binio::Encoder structural;
-  binio::Encoder variant;
-  first.dump(structural, variant);
+  const cost::CostReport fresh = first.cost(v, *job.lower, db);
+  binio::Encoder entries;
+  first.dump(entries);
 
   dse::CostCache second;
-  binio::Decoder s(structural.bytes());
-  binio::Decoder v(variant.bytes());
-  auto counts = second.load(s, v);
-  ASSERT_TRUE(counts.ok()) << counts.error_message();
-  EXPECT_EQ(counts.value().structural, 1u);
-  EXPECT_EQ(counts.value().variant, 0u);
+  binio::Decoder in(entries.bytes());
+  auto count = second.load(in);
+  ASSERT_TRUE(count.ok()) << count.error_message();
+  EXPECT_EQ(count.value(), 1u);
+  EXPECT_EQ(second.size(), 1u);
 
   bool was_hit = false;
-  const cost::CostReport warm = second.cost(module, db, &was_hit);
-  EXPECT_TRUE(was_hit) << "restored structural entry did not hit";
+  const cost::CostReport warm = second.cost(v, *job.lower, db, &was_hit);
+  EXPECT_TRUE(was_hit) << "restored entry did not hit";
   EXPECT_EQ(cost::format_report(warm), cost::format_report(fresh));
 }
 
-TEST(SnapshotCache, CorruptDumpFailsLoadWithoutCrashing) {
+/// One entry's dump: sor nd=8's baseline variant on stratix-v-gsd8.
+std::string one_entry_dump() {
   const auto& db = preset_db("stratix-v-gsd8");
   dse::Job job = registry_job("sor", 8);
-  const ir::Module module =
-      job.lower->lower(frontend::baseline_variant(job.n));
-  dse::CostCache first;
-  (void)first.cost(module, db);
-  binio::Encoder structural;
-  binio::Encoder variant;
-  first.dump(structural, variant);
+  dse::CostCache cache;
+  (void)cache.cost(frontend::baseline_variant(job.n), *job.lower, db);
+  binio::Encoder entries;
+  cache.dump(entries);
+  return entries.take();
+}
 
-  // Truncate the structural payload mid-entry.
-  const std::string bytes = structural.bytes();
+TEST(SnapshotCache, CorruptDumpFailsLoadWithoutCrashing) {
+  // Truncate the payload mid-entry.
+  const std::string bytes = one_entry_dump();
   for (const std::size_t len : {bytes.size() / 2, bytes.size() - 1}) {
     dse::CostCache fresh_cache;
-    binio::Decoder s(std::string_view(bytes).substr(0, len));
-    binio::Decoder v(std::string_view{});
-    auto counts = fresh_cache.load(s, v);
-    EXPECT_FALSE(counts.ok()) << "truncated cache payload accepted";
+    binio::Decoder in(std::string_view(bytes).substr(0, len));
+    auto count = fresh_cache.load(in);
+    EXPECT_FALSE(count.ok()) << "truncated cache payload accepted";
   }
 }
 
-TEST(SnapshotCache, VariantEntriesReferToTheirStructuralEntry) {
-  // A variant entry is (key, check, design key, design check): four
-  // words, no second report.
+TEST(SnapshotCache, AnEntryIsItsKeyAndItsReport) {
+  // (key, check, report): two words and the report, nothing else.
   const auto& db = preset_db("stratix-v-gsd8");
   dse::Job job = registry_job("sor", 8);
+  const frontend::Variant v = frontend::baseline_variant(job.n);
   dse::CostCache cache;
-  (void)cache.cost(frontend::baseline_variant(job.n), *job.lower, db);
+  const cost::CostReport report = cache.cost(v, *job.lower, db);
   ASSERT_EQ(cache.size(), 1u);
-  ASSERT_EQ(cache.variant_size(), 1u);
-  binio::Encoder structural;
-  binio::Encoder variant;
-  cache.dump(structural, variant);
-  EXPECT_EQ(variant.bytes().size(), 4 * sizeof(std::uint64_t));
-  binio::Decoder v(variant.bytes());
-  (void)v.u64();
-  (void)v.u64();
-  binio::Decoder s(structural.bytes());
-  EXPECT_EQ(v.u64(), s.u64());
-  EXPECT_EQ(v.u64(), s.u64());
-}
-
-/// A dump of one design at both levels, with the variant entry's design
-/// reference pointing at a digest the structural level does not hold.
-std::pair<std::string, std::string> dangling_dump() {
-  const auto& db = preset_db("stratix-v-gsd8");
-  dse::Job job = registry_job("sor", 8);
-  dse::CostCache cache;
-  (void)cache.cost(frontend::baseline_variant(job.n), *job.lower, db);
-  binio::Encoder structural;
-  binio::Encoder variant;
-  cache.dump(structural, variant);
-  binio::Decoder v(variant.bytes());
-  binio::Encoder dangling;
-  dangling.u64(v.u64());
-  dangling.u64(v.u64());
-  dangling.u64(v.u64());
-  dangling.u64(v.u64() ^ 1);
-  EXPECT_TRUE(v.at_end());
-  return {structural.take(), dangling.take()};
-}
-
-TEST(SnapshotCache, DanglingVariantReferenceFailsLoad) {
-  const auto [structural, variant] = dangling_dump();
-  dse::CostCache cache;
-  binio::Decoder s(structural);
-  binio::Decoder v(variant);
-  auto counts = cache.load(s, v);
-  ASSERT_FALSE(counts.ok()) << "a variant entry without its design loaded";
-  EXPECT_NE(counts.diag().message.find("variant level"), std::string::npos)
-      << counts.error_message();
-  EXPECT_NE(counts.diag().message.find("missing from the structural level"),
-            std::string::npos)
-      << counts.error_message();
+  EXPECT_EQ(cache.variant_size(), cache.size());
+  binio::Encoder alone;
+  cost::save_report(alone, report);
+  EXPECT_EQ(one_entry_dump().size(),
+            2 * sizeof(std::uint64_t) + alone.bytes().size());
 }
 
 // ---------------------------------------------------------------------------
@@ -746,8 +736,7 @@ TEST(SessionSnapshot, VerifySnapshotAcceptsGoodRejectsCorrupt) {
   (void)run_with_snapshot(tmp.path, "sor", 8, "stratix-v-gsd8", true);
   auto good = dse::verify_snapshot(tmp.path);
   ASSERT_TRUE(good.ok()) << good.error_message();
-  EXPECT_GT(good.value().structural_entries, 0u);
-  EXPECT_GT(good.value().variant_entries, 0u);
+  EXPECT_GT(good.value().entries, 0u);
   ASSERT_EQ(good.value().calibrations.size(), 1u);
   EXPECT_EQ(good.value().calibrations[0].first, "stratix-v-gsd8");
 
@@ -767,42 +756,57 @@ std::pair<SweepRender, std::string> run_capturing_stderr(
   return {std::move(r), ::testing::internal::GetCapturedStderr()};
 }
 
-TEST(SessionSnapshot, PayloadV1FileColdStartsWithOneWarning) {
-  TempPath tmp("session_v1");
-  write_v1_snapshot(tmp.path);
+/// Checks that an older-payload file cold-starts with exactly one
+/// structured warning and fails verification, naming both versions.
+void expect_old_payload_cold_start(const std::string& path,
+                                   std::uint32_t version) {
+  const std::string why = "payload version " + std::to_string(version) +
+                          " unsupported (this build reads 3)";
   const SweepRender cold = run_with_snapshot("", "sor", 8, "stratix-v-gsd8",
                                              false);
-  const auto [degraded, err] = run_capturing_stderr(tmp.path);
+  const auto [degraded, err] = run_capturing_stderr(path);
   EXPECT_EQ(degraded.sweep, cold.sweep);
   EXPECT_EQ(degraded.pareto, cold.pareto);
   EXPECT_EQ(degraded.stats.hits, 0u);
   EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
-  EXPECT_NE(err.find("tytra: warning: snapshot-load path='" + tmp.path + "'"),
+  EXPECT_NE(err.find("tytra: warning: snapshot-load path='" + path + "'"),
             std::string::npos)
       << err;
-  EXPECT_NE(err.find("payload version 1 unsupported (this build reads 2)"),
-            std::string::npos)
-      << err;
+  EXPECT_NE(err.find(why), std::string::npos) << err;
   EXPECT_NE(err.find("action=cold-start"), std::string::npos) << err;
-  auto verified = dse::verify_snapshot(tmp.path);
+  auto verified = dse::verify_snapshot(path);
   ASSERT_FALSE(verified.ok());
-  EXPECT_NE(verified.diag().message.find("payload version 1 unsupported"),
-            std::string::npos);
+  EXPECT_NE(verified.diag().message.find(why), std::string::npos)
+      << verified.error_message();
 }
 
-TEST(SessionSnapshot, DanglingVariantReferenceRollsBackToCold) {
-  TempPath tmp("session_dangling");
-  const auto [structural, variant] = dangling_dump();
-  write_snapshot(tmp.path, 2, structural, variant, {});
+TEST(SessionSnapshot, PayloadV1FileColdStartsWithOneWarning) {
+  TempPath tmp("session_v1");
+  write_v1_snapshot(tmp.path);
+  expect_old_payload_cold_start(tmp.path, 1);
+}
+
+TEST(SessionSnapshot, PayloadV2FileColdStartsWithOneWarning) {
+  TempPath tmp("session_v2");
+  write_v2_snapshot(tmp.path);
+  expect_old_payload_cold_start(tmp.path, 2);
+}
+
+TEST(SessionSnapshot, CorruptEntryRollsBackToCold) {
+  // One whole entry, then a truncated one behind a valid container frame:
+  // the first entry loads, the second fails, and the load rolls back.
+  TempPath tmp("session_corrupt_entry");
+  const std::string entry = one_entry_dump();
+  write_snapshot(tmp.path, 3,
+                 {{kSecEntries, entry + entry.substr(0, entry.size() / 2)}});
   {
     dse::Session session;
     auto loaded = session.load_snapshot(tmp.path);
     ASSERT_FALSE(loaded.ok());
-    EXPECT_NE(loaded.diag().message.find("missing from the structural level"),
+    EXPECT_NE(loaded.diag().message.find("cost-cache snapshot"),
               std::string::npos)
         << loaded.error_message();
     EXPECT_EQ(session.cache()->size(), 0u) << "load did not roll back";
-    EXPECT_EQ(session.cache()->variant_size(), 0u);
   }
   const SweepRender cold = run_with_snapshot("", "sor", 8, "stratix-v-gsd8",
                                              false);
@@ -910,7 +914,7 @@ TEST(SnapshotRewrite, SaveToAnotherPathAlwaysWrites) {
   auto verified = dse::verify_snapshot(copy.path);
   ASSERT_TRUE(verified.ok()) << verified.error_message();
   EXPECT_EQ(verified.value().file_bytes, saved.value());
-  EXPECT_GT(verified.value().variant_entries, 0u);
+  EXPECT_GT(verified.value().entries, 0u);
 }
 
 TEST(SnapshotRewrite, LoadIntoANonEmptySessionNeverSkips) {

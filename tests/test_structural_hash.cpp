@@ -1,5 +1,6 @@
-// Tests for the streaming structural hash that the DSE cost cache keys
-// on, and for the one-traversal AnalysisSummary parity with the legacy
+// Tests for the streaming structural hash that `.tir` workload
+// fingerprints are built on, for the cost cache's report identity, and
+// for the one-traversal AnalysisSummary parity with the legacy
 // per-question analyses.
 //
 // The hash contract: equal printed IR <=> equal digest (checked across
@@ -25,6 +26,7 @@
 #include "tytra/ir/structural_hash.hpp"
 #include "tytra/kernels/generator.hpp"
 #include "tytra/kernels/kernels.hpp"
+#include "tytra/kernels/lowerers.hpp"
 #include "tytra/kernels/registry.hpp"
 #include "tytra/sim/cycle_model.hpp"
 
@@ -39,6 +41,21 @@ ir::Module sor(std::uint32_t lanes, std::uint32_t dim = 24) {
   cfg.lanes = lanes;
   cfg.nki = 10;
   return kernels::make_sor(cfg);
+}
+
+/// The keyed lowerer that sor(lanes) is one variant of.
+dse::KeyedLowerer sor_keyed() {
+  kernels::SorConfig cfg;
+  cfg.im = cfg.jm = cfg.km = 24;
+  cfg.nki = 10;
+  return kernels::sor_lowerer(cfg);
+}
+
+/// The `lanes`-lane variant of an n-item NDRange.
+frontend::Variant lanes_variant(std::uint64_t n, std::uint32_t lanes) {
+  const frontend::Variant base = frontend::baseline_variant(n);
+  return lanes == 1 ? base
+                    : frontend::reshape_to(base, lanes, frontend::ParAnn::Par);
 }
 
 ir::Module hotspot(std::uint32_t lanes) {
@@ -262,29 +279,20 @@ TEST(StructuralHash, EveryStructuralMutationChangesTheDigest) {
 }
 
 // --------------------------------------------------------------------------
-// Cache identity built on the digest
+// The cost cache's report identity
 // --------------------------------------------------------------------------
-
-TEST(StructuralHash, DesignKeySeparatesDesignsAndDevices) {
-  const auto sv = cost::DeviceCostDb::calibrate(target::stratix_v_gsd8());
-  const auto v7 = cost::DeviceCostDb::calibrate(target::virtex7_690t());
-  const ir::Module a = sor(1);
-  const ir::Module b = sor(4);
-  EXPECT_EQ(dse::design_key(a, sv), dse::design_key(sor(1), sv));
-  EXPECT_NE(dse::design_key(a, sv), dse::design_key(b, sv));
-  EXPECT_NE(dse::design_key(a, sv), dse::design_key(a, v7));
-}
 
 TEST(StructuralHash, CacheHitReportEqualsDirectCostReport) {
   const auto db = cost::DeviceCostDb::calibrate(target::stratix_v_gsd8());
   dse::CostCache cache;
-  const ir::Module m = sor(4);
+  const dse::KeyedLowerer lower = sor_keyed();
+  const frontend::Variant v = lanes_variant(24 * 24 * 24, 4);
   bool hit = true;
-  const cost::CostReport miss_report = cache.cost(m, db, &hit);
+  const cost::CostReport miss_report = cache.cost(v, lower, db, &hit);
   EXPECT_FALSE(hit);
-  const cost::CostReport hit_report = cache.cost(m, db, &hit);
+  const cost::CostReport hit_report = cache.cost(v, lower, db, &hit);
   EXPECT_TRUE(hit);
-  const cost::CostReport direct = cost::cost_design(m, db);
+  const cost::CostReport direct = cost::cost_design(sor(4), db);
   // format_report covers every user-visible field of the report.
   EXPECT_EQ(cost::format_report(hit_report), cost::format_report(miss_report));
   const std::string a = cost::format_report(hit_report);
@@ -300,8 +308,12 @@ TEST(StructuralHash, ConfigurableShardCountServesAllLookups) {
                                    std::size_t{64}}) {
     dse::CostCache cache(shards);
     EXPECT_EQ(cache.shard_count(), shards);
-    for (const std::uint32_t lanes : {1u, 2u, 4u}) cache.cost(sor(lanes), db);
-    for (const std::uint32_t lanes : {1u, 2u, 4u}) cache.cost(sor(lanes), db);
+    const dse::KeyedLowerer lower = sor_keyed();
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const std::uint32_t lanes : {1u, 2u, 4u}) {
+        cache.cost(lanes_variant(24 * 24 * 24, lanes), lower, db);
+      }
+    }
     EXPECT_EQ(cache.size(), 3u);
     EXPECT_EQ(cache.stats().hits, 3u);
     EXPECT_EQ(cache.stats().misses, 3u);
@@ -316,8 +328,8 @@ TEST(StructuralHash, EveryCacheHitPrintsAsTheDesignFirstInserted) {
   // One cache across the built-in corpus (3 kernels x nd {16..128} x the
   // 3 presets), run twice so every design also hits. The cache stores no
   // printed IR; the test prints each design itself and checks that a
-  // structural hit is byte-identical to the design that first missed
-  // under the same (device, digest).
+  // hit is byte-identical to the design that first missed under the same
+  // (device, variant key).
   dse::CostCache cache;
   std::map<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>,
            std::string>
@@ -333,13 +345,15 @@ TEST(StructuralHash, EveryCacheHitPrintsAsTheDesignFirstInserted) {
         for (const std::uint32_t nd : {16u, 24u, 32u, 48u, 64u, 96u, 128u}) {
           auto job = kernels::Registry::instance().make_job(kernel, nd);
           ASSERT_TRUE(job.ok()) << job.error_message();
+          const dse::Lowerer& lower = *job.value().lower;
           for (const auto& v : frontend::enumerate_variants(job.value().n, 16)) {
-            const ir::Module m = job.value().lower->lower(v);
-            const StructuralDigest digest = ir::structural_digest(m);
+            const ir::Module m = lower.lower(v);
+            const auto key = lower.key(v);
+            ASSERT_TRUE(key.has_value()) << kernel << " nd " << nd;
             const auto id =
-                std::make_tuple(db.fingerprint(), digest.key, digest.check);
+                std::make_tuple(db.fingerprint(), key->key, key->check);
             bool was_hit = false;
-            (void)cache.cost(m, db, &was_hit);
+            (void)cache.cost(v, lower, db, &was_hit);
             if (!was_hit) {
               EXPECT_TRUE(first.emplace(id, ir::print_module(m)).second)
                   << kernel << " nd " << nd << ": missed a resident design";

@@ -1,21 +1,30 @@
-// Tests for the two-level cache identity: the pre-lowering variant key
-// (dse::KeyedLowerer) must agree with the authoritative post-lowering
-// structural digest across every kernel and device preset, the FnLowerer
-// shim must behave exactly like the raw std::function path, the divisor
-// ladder shared by the tuner and the variant enumerator must match the
-// brute-force definition, and the BuildArena must recycle without
-// changing a single produced byte.
+// Tests for the cache identity: the pre-lowering variant key
+// (dse::KeyedLowerer) is the cost cache's only key, so equal keys must
+// lower to equal designs — equal printed IR and an equal structural
+// digest — across every built-in, generated and example workload. Also:
+// a key-less FnLowerer is never memoized and behaves exactly like the
+// raw std::function path, and the divisor ladder shared by the tuner and
+// the variant enumerator matches the brute-force definition.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <map>
 #include <memory>
+#include <sstream>
 
 #include "tytra/dse/cache.hpp"
 #include "tytra/dse/session.hpp"
 #include "tytra/ir/printer.hpp"
+#include "tytra/ir/structural_hash.hpp"
+#include "tytra/kernels/file_workload.hpp"
+#include "tytra/kernels/generator.hpp"
 #include "tytra/kernels/kernels.hpp"
 #include "tytra/kernels/lowerers.hpp"
+#include "tytra/kernels/registry.hpp"
+#include "tytra/support/rng.hpp"
 
 namespace {
 
@@ -106,11 +115,100 @@ TEST(VariantKey, StableAndSensitiveToShapeAnnotationsAndKernel) {
   EXPECT_NE(sor.key(base), kernels::sor_lowerer(cfg2).key(base));
 }
 
+/// What one (lowerer, variant) pair lowered to, for the soundness check.
+struct Lowered {
+  std::string printed;
+  ir::StructuralDigest digest;
+  std::string origin;
+};
+
+/// Lowers every variant of `lower` up to `max_lanes` lanes and checks
+/// that a key seen before names the same design: equal printed IR and an
+/// equal structural digest. Returns the number of (key, design) pairs
+/// checked.
+std::size_t check_keys(const dse::Lowerer& lower, std::uint64_t n,
+                       std::uint32_t max_lanes, const std::string& origin,
+                       std::map<std::pair<std::uint64_t, std::uint64_t>,
+                                Lowered>& seen) {
+  std::size_t checked = 0;
+  for (const auto& v : frontend::enumerate_variants(n, max_lanes)) {
+    const auto key = lower.key(v);
+    EXPECT_TRUE(key.has_value()) << origin;
+    if (!key) continue;
+    const ir::Module m = lower.lower(v);
+    Lowered now{ir::print_module(m), ir::structural_digest(m),
+                origin + " lanes=" + std::to_string(v.lanes())};
+    const auto [it, fresh] = seen.try_emplace({key->key, key->check}, now);
+    if (!fresh) {
+      EXPECT_EQ(it->second.printed, now.printed)
+          << now.origin << " shares a variant key with " << it->second.origin;
+      EXPECT_EQ(it->second.digest, now.digest)
+          << now.origin << " shares a variant key with " << it->second.origin;
+    }
+    ++checked;
+  }
+  return checked;
+}
+
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
 TEST(VariantKey, AgreesWithStructuralKeyAcrossKernelsAndPresets) {
-  // The core two-level invariant, across all three kernels x all three
-  // device presets: a lookup answered by the variant-key table returns
-  // exactly the report the structural level (and the raw cost model)
-  // computes, and warm sweeps are answered entirely at the variant level.
+  // The variant key is the cache's only identity, so it must be sound:
+  // equal keys name equal designs. Checked over the built-ins at every
+  // benchmark nd, the 200-design generated corpus and the example .tir
+  // files. Each source is lowered twice (a fresh lowerer the second
+  // time), so every key is checked against at least one re-lowering.
+  std::map<std::pair<std::uint64_t, std::uint64_t>, Lowered> seen;
+  std::size_t first_round_keys = 0;
+  const auto& registry = kernels::Registry::instance();
+  for (int round = 0; round < 2; ++round) {
+    std::size_t checked = 0;
+    for (const char* kernel : {"sor", "hotspot", "lavamd"}) {
+      for (const std::uint32_t nd : {16u, 24u, 32u, 48u, 64u, 96u, 128u}) {
+        auto job = registry.make_job(kernel, nd);
+        ASSERT_TRUE(job.ok()) << job.error_message();
+        checked += check_keys(*job.value().lower, job.value().n, 16,
+                              std::string(kernel) + " nd=" + std::to_string(nd),
+                              seen);
+      }
+    }
+    SplitMix64 seeds(7);
+    for (int i = 0; i < 200; ++i) {
+      const std::uint64_t seed = seeds.next_u64();
+      auto module =
+          std::make_shared<const ir::Module>(kernels::generate_kernel(seed));
+      const std::uint64_t n = module->meta.global_size;
+      checked += check_keys(kernels::file_lowerer(std::move(module)), n, 8,
+                            "generate_kernel(" + std::to_string(seed) + ")",
+                            seen);
+    }
+#ifdef TYTRA_SOURCE_DIR
+    const std::filesystem::path dir =
+        std::filesystem::path(TYTRA_SOURCE_DIR) / "examples" / "ir";
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      if (entry.path().extension() != ".tir") continue;
+      auto loaded = kernels::load_file_workload(read_file(entry.path()));
+      ASSERT_TRUE(loaded.ok()) << entry.path() << ": " << loaded.error_message();
+      const auto& baseline = loaded.value().baseline;
+      checked += check_keys(kernels::file_lowerer(baseline),
+                            baseline->meta.global_size, 16,
+                            entry.path().filename().string(), seen);
+    }
+#endif
+    EXPECT_GT(checked, 1000u);
+    // The second round re-derives exactly the first round's keys.
+    if (round == 0) first_round_keys = seen.size();
+  }
+  EXPECT_EQ(seen.size(), first_round_keys);
+
+  // And the reports: across all three kernels x all three device presets
+  // a warm lookup returns exactly the report the cold lookup and the raw
+  // cost model compute.
   struct Case {
     std::uint64_t n;
     KeyedLowerer lower;
@@ -129,51 +227,45 @@ TEST(VariantKey, AgreesWithStructuralKeyAcrossKernelsAndPresets) {
     for (const auto& db : dbs) {
       CostCache cache;
       for (const auto& v : frontend::enumerate_variants(c.n, 16)) {
-        CostCache::HitLevel level = CostCache::HitLevel::Variant;
-        const auto cold = cache.cost(v, c.lower, db, &level);
-        EXPECT_EQ(level, CostCache::HitLevel::Miss);
-        const auto warm = cache.cost(v, c.lower, db, &level);
-        EXPECT_EQ(level, CostCache::HitLevel::Variant);
+        bool hit = true;
+        const auto cold = cache.cost(v, c.lower, db, &hit);
+        EXPECT_FALSE(hit);
+        const auto warm = cache.cost(v, c.lower, db, &hit);
+        EXPECT_TRUE(hit);
         const auto direct = cost::cost_design(c.lower.lower(v), db);
         EXPECT_EQ(stable_report(warm), stable_report(cold));
         EXPECT_EQ(stable_report(warm), stable_report(direct));
       }
-      EXPECT_EQ(cache.variant_size(), cache.size());
+      EXPECT_EQ(cache.size(), cache.stats().misses);
     }
   }
 }
 
-TEST(VariantKey, DistinctFingerprintsShareTheStructuralLevel) {
-  // Two lowerers with different fingerprints but identical lowering: the
-  // second one's first probe misses the variant level, lowers, and is
-  // answered by the structural level — the ground truth is shared, the
-  // variant keys are not.
+TEST(VariantKey, KeylessLookupsAlwaysMissAndStoreNothing) {
   kernels::SorConfig cfg;
   cfg.im = cfg.jm = cfg.km = kDim;
   cfg.nki = 10;
-  const KeyedLowerer a = kernels::sor_lowerer(cfg);
-  const dse::FnLowerer b{[cfg](const frontend::Variant& v) {
+  const dse::FnLowerer keyless{[cfg](const frontend::Variant& v) {
     kernels::SorConfig c = cfg;
     c.lanes = v.lanes();
     return kernels::make_sor(c);
   }};
-  ASSERT_NE(a.fingerprint(), "");
-
   const auto db = cost::DeviceCostDb::calibrate(target::fig15_profile());
-  const std::uint64_t n = std::uint64_t{kDim} * kDim * kDim;
-  const auto v = frontend::reshape_to(frontend::baseline_variant(n), 4,
+  const auto v = frontend::reshape_to(frontend::baseline_variant(cfg.ngs()), 4,
                                       frontend::ParAnn::Par);
   CostCache cache;
-  CostCache::HitLevel level = CostCache::HitLevel::Variant;
-  cache.cost(v, a, db, &level);
-  EXPECT_EQ(level, CostCache::HitLevel::Miss);
-  // Key-less lowerer, same design: resolves at the structural level.
-  cache.cost(v, b, db, &level);
-  EXPECT_EQ(level, CostCache::HitLevel::Structural);
-  EXPECT_EQ(cache.size(), 1u);
-  // The keyed lowerer now hits before lowering.
-  cache.cost(v, a, db, &level);
-  EXPECT_EQ(level, CostCache::HitLevel::Variant);
+  bool hit = true;
+  const auto first = cache.cost(v, keyless, db, &hit);
+  EXPECT_FALSE(hit);
+  hit = true;
+  const auto second = cache.cost(v, keyless, db, &hit);
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.size(), 0u);
+  const auto direct = cost::cost_design(keyless.lower(v), db);
+  EXPECT_EQ(stable_report(first), stable_report(direct));
+  EXPECT_EQ(stable_report(second), stable_report(direct));
 }
 
 TEST(VariantKey, DevicesDoNotCrossHit) {
@@ -183,11 +275,11 @@ TEST(VariantKey, DevicesDoNotCrossHit) {
   const std::uint64_t n = std::uint64_t{kDim} * kDim * kDim;
   const auto v = frontend::baseline_variant(n);
   CostCache cache;
-  CostCache::HitLevel level = CostCache::HitLevel::Variant;
-  cache.cost(v, sor, sv, &level);
-  EXPECT_EQ(level, CostCache::HitLevel::Miss);
-  cache.cost(v, sor, v7, &level);
-  EXPECT_EQ(level, CostCache::HitLevel::Miss);
+  bool hit = true;
+  cache.cost(v, sor, sv, &hit);
+  EXPECT_FALSE(hit);
+  cache.cost(v, sor, v7, &hit);
+  EXPECT_FALSE(hit);
   EXPECT_EQ(cache.variant_size(), 2u);
   EXPECT_EQ(cache.stats().variant_hits, 0u);
 }
@@ -215,27 +307,6 @@ TEST(VariantKey, KeyedSweepIsByteIdenticalToFnSweepColdAndWarm) {
   EXPECT_EQ(cold.cache_stats.misses, cold.entries.size());
   EXPECT_EQ(warm.cache_stats.variant_hits, warm.entries.size());
   EXPECT_EQ(warm.cache_stats.hits, warm.entries.size());
-}
-
-// --------------------------------------------------------------------------
-// BuildArena
-// --------------------------------------------------------------------------
-
-TEST(BuildArena, RecycledLoweringIsByteIdentical) {
-  ir::BuildArena arena;
-  const KeyedLowerer sor = sor_keyed();
-  const std::uint64_t n = std::uint64_t{kDim} * kDim * kDim;
-  // Lower the whole family twice through one arena, recycling between
-  // variants — every module must match the arena-less build byte for
-  // byte (capacity reuse must never leak content).
-  for (int round = 0; round < 2; ++round) {
-    for (const auto& v : frontend::enumerate_variants(n, 16)) {
-      ir::Module with_arena = sor.lower(v, &arena);
-      const ir::Module plain = sor.lower(v);
-      EXPECT_EQ(ir::print_module(with_arena), ir::print_module(plain));
-      arena.recycle(std::move(with_arena));
-    }
-  }
 }
 
 // --------------------------------------------------------------------------

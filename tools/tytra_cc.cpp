@@ -194,8 +194,7 @@ int run_local(dse::Command& cmd, bool dump = false) {
   if (dump && o.error.empty()) {
     const dse::CostCache* cache = session.cache();
     o.out = "snapshot: wrote " + cmd.snapshot +
-            " (structural=" + std::to_string(cache ? cache->size() : 0) +
-            " variant=" + std::to_string(cache ? cache->variant_size() : 0) +
+            " (entries=" + std::to_string(cache ? cache->size() : 0) +
             " calibrations=" + std::to_string(session.device_names().size()) +
             ")\n";
   }
@@ -289,8 +288,7 @@ int run_command(int argc, char** argv) {
 const char* section_name(std::uint32_t id) {
   switch (id) {
     case 1: return "meta";
-    case 2: return "structural";
-    case 3: return "variant";
+    case 2: return "entries";
     case 4: return "calibration";
     default: return "unknown";
   }
@@ -347,9 +345,8 @@ int run_cache(int argc, char** argv) {
     dse::Session session;
     const auto stats = session.load_snapshot(path);
     if (!stats.ok()) return fail(1, "cache load: " + stats.diag().message);
-    std::printf("loaded %s: structural=%zu variant=%zu calibrations=%zu\n",
-                path.c_str(), stats.value().structural_entries,
-                stats.value().variant_entries, stats.value().calibrations);
+    std::printf("loaded %s: entries=%zu calibrations=%zu\n", path.c_str(),
+                stats.value().entries, stats.value().calibrations);
     return 0;
   }
 
@@ -361,10 +358,8 @@ int run_cache(int argc, char** argv) {
     return 1;
   }
   if (action == "verify") {
-    std::printf("ok: %s (structural=%zu variant=%zu calibrations=%zu)\n",
-                path.c_str(), summary.value().structural_entries,
-                summary.value().variant_entries,
-                summary.value().calibrations.size());
+    std::printf("ok: %s (entries=%zu calibrations=%zu)\n", path.c_str(),
+                summary.value().entries, summary.value().calibrations.size());
     return 0;
   }
   const dse::SnapshotSummary& s = summary.value();
@@ -382,8 +377,7 @@ int run_cache(int argc, char** argv) {
                   static_cast<unsigned long long>(sec.checksum));
     }
   }
-  std::printf("  entries: structural=%zu variant=%zu\n", s.structural_entries,
-              s.variant_entries);
+  std::printf("  entries=%zu\n", s.entries);
   for (const auto& [name, fingerprint] : s.calibrations) {
     std::printf("  calibration %s fingerprint=%016llx\n", name.c_str(),
                 static_cast<unsigned long long>(fingerprint));

@@ -2,7 +2,7 @@
 // (optionally from a snapshot), listens on a Unix-domain socket, and
 // serves concurrent tytra-cc clients (`tytra-cc --server <socket> ...`)
 // over the length-prefixed JSON frame protocol — every client shares the
-// session's two-level cost cache and calibrated device table, so the
+// session's cost cache and calibrated device table, so the
 // second campaign answers at the variant-key level from the first one's
 // work. SIGTERM/SIGINT drain gracefully: in-flight work gets --drain-ms
 // to finish (then cooperative cancellation), the snapshot is saved, and
