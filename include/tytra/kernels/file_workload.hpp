@@ -49,16 +49,13 @@ struct FileWorkload {
   /// "tir/digest=<key>.<check>" — the baseline's structural digest, the
   /// KeyedLowerer fingerprint (see dse/lowerer.hpp for the contract).
   std::string fingerprint;
-  /// ir::lint findings over the baseline (structural rules only — no
-  /// device is in scope at load time). Advisory: lint never blocks a
-  /// load, whatever the finding severity; callers surface or ignore it.
-  std::vector<tytra::Diag> lint;
 };
 
-/// Parses + verifies `source`; `nd` != 0 overrides every `!ND<k>`
-/// constant (0 keeps the file's own values). Errors — lexical, syntactic,
-/// semantic (verifier) or a zero NDRange — come back as a Result carrying
-/// the first diagnostic with its line/column.
+/// Parses + verifies `source` and digests the baseline; `nd` != 0
+/// overrides every `!ND<k>` constant (0 keeps the file's own values).
+/// No lint runs here. Errors — lexical, syntactic, semantic (verifier)
+/// or a zero NDRange — come back as a Result carrying the first
+/// diagnostic with its line/column.
 tytra::Result<FileWorkload> load_file_workload(std::string_view source,
                                                std::uint32_t nd = 0);
 
@@ -78,10 +75,21 @@ dse::KeyedLowerer file_lowerer(std::shared_ptr<const ir::Module> baseline);
 /// Loads `source_text` and registers it in `reg` under `name`, recording
 /// `source_path` as the workload's origin (shown by `tytra-cc list`).
 /// Parse/verify failures, a non-replicable @main and duplicate names all
-/// come back as structured errors; on success the workload is explorable
-/// exactly like a built-in. The returned pointer is valid until the next
-/// registration. `lint_out`, when non-null, receives the baseline's lint
-/// findings (advisory only; they never fail the registration).
+/// come back as structured errors (prefixed with `source_path`); on
+/// success the workload is explorable exactly like a built-in. The
+/// returned pointer is valid until the next registration.
+///
+/// Load contract: the file is loaded once per (file, nd) per process.
+/// The workload's ndrange and make_lowerer hooks share one memo slot,
+/// seeded by the registration load, that holds the last loaded
+/// dimension; make_job's ndrange(nd) then make_lowerer(nd) pair loads at
+/// most once, and the lowerer's fingerprint is the load's digest. The
+/// slot is locked, so hooks may run concurrently (a daemon's requests).
+///
+/// Lint runs here and only here: `lint_out`, when non-null, receives the
+/// structural lint findings over the default-dimension baseline (no
+/// device is in scope; advisory only, they never fail the registration).
+/// A null `lint_out` skips the lint pass.
 tytra::Result<const WorkloadInfo*> register_file_workload(
     Registry& reg, std::string name, std::string source_path,
     std::string source_text, std::vector<tytra::Diag>* lint_out = nullptr);

@@ -581,12 +581,14 @@ Result<std::string> prepare(Command& cmd) {
       }
       continue;
     }
+    // The lint verb lints each design itself, with the device, so it
+    // skips the advisory notes.
     std::vector<Diag> lint;
-    auto added = kernels::register_file_workload(registry, ir.name, ir.name,
-                                                 *ir.source, &lint);
+    auto added = kernels::register_file_workload(
+        registry, ir.name, ir.name, *ir.source,
+        cmd.verb == Verb::Lint ? nullptr : &lint);
     if (!added.ok()) return make_error(added.error_message());
     known.emplace(ir.name, *ir.source);
-    if (cmd.verb == Verb::Lint) continue;
     for (const Diag& d : lint) {
       notes += "tytra-cc: " + ir.name + ": " + d.to_string() + "\n";
     }

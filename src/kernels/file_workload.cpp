@@ -15,6 +15,7 @@
 #include "tytra/ir/verifier.hpp"
 #include "tytra/kernels/streams.hpp"
 #include "tytra/support/failpoint.hpp"
+#include "tytra/support/thread_annotations.hpp"
 
 namespace tytra::kernels {
 
@@ -55,6 +56,54 @@ tytra::Diag first_verify_error(const tytra::DiagBag& diags) {
   }
   return out;
 }
+
+/// Lane replication of `baseline`, keyed by `fingerprint` (its digest).
+dse::KeyedLowerer keyed_lowerer(std::string fingerprint,
+                                std::shared_ptr<const ir::Module> baseline) {
+  return dse::KeyedLowerer(
+      std::move(fingerprint),
+      [m = std::move(baseline)](const frontend::Variant& v) {
+        return replicate_lanes(*m, v.lanes());
+      });
+}
+
+/// What a registered file workload's hooks share: the source text, and
+/// a one-slot memo of the last successful load. make_job asks ndrange(nd)
+/// and then make_lowerer(nd), and a campaign plans every size of one
+/// workload before the next, so one slot answers every repeat while a
+/// long-lived daemon still holds one module per file.
+class FileSource {
+ public:
+  FileSource(std::string path, std::string text)
+      : path(std::move(path)), text_(std::move(text)) {}
+
+  /// The load at `nd` (0: the file's own values), from the slot when it
+  /// holds that dimension. A failure, prefixed with the path, leaves the
+  /// slot as it was.
+  tytra::Result<FileWorkload> load(std::uint32_t nd) TYTRA_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    if (slot_.baseline == nullptr || nd != slot_nd_) {
+      auto loaded = load_file_workload(text_, nd);
+      if (!loaded.ok()) {
+        tytra::Diag d = loaded.diag();
+        d.message = path + ": " + d.message;
+        return d;
+      }
+      slot_ = std::move(loaded).take();
+      // nd 0 and the file's default_nd load the same design.
+      slot_nd_ = nd == 0 ? slot_.default_nd : nd;
+    }
+    return slot_;
+  }
+
+  const std::string path;
+
+ private:
+  const std::string text_;
+  Mutex mu_;
+  std::uint32_t slot_nd_ TYTRA_GUARDED_BY(mu_){0};
+  FileWorkload slot_ TYTRA_GUARDED_BY(mu_);
+};
 
 }  // namespace
 
@@ -103,9 +152,6 @@ tytra::Result<FileWorkload> load_file_workload(std::string_view source,
 
   out.baseline = std::make_shared<const ir::Module>(std::move(parsed.module));
   out.fingerprint = digest_fingerprint(*out.baseline);
-  // Advisory static analysis on the verified design: structural rules
-  // only (no device at load time), and never a reason to fail the load.
-  out.lint = ir::lint::run_lint(*out.baseline).findings.all();
   return out;
 }
 
@@ -204,66 +250,61 @@ ir::Module replicate_lanes(const ir::Module& baseline, std::uint32_t lanes) {
 
 dse::KeyedLowerer file_lowerer(std::shared_ptr<const ir::Module> baseline) {
   std::string fingerprint = digest_fingerprint(*baseline);
-  return dse::KeyedLowerer(
-      std::move(fingerprint),
-      [m = std::move(baseline)](const frontend::Variant& v) {
-        return replicate_lanes(*m, v.lanes());
-      });
+  return keyed_lowerer(std::move(fingerprint), std::move(baseline));
 }
 
 tytra::Result<const WorkloadInfo*> register_file_workload(
     Registry& reg, std::string name, std::string source_path,
     std::string source_text, std::vector<tytra::Diag>* lint_out) {
-  auto loaded = load_file_workload(source_text, 0);
-  if (!loaded.ok()) {
-    tytra::Diag d = loaded.diag();
-    d.message = source_path + ": " + d.message;
-    return d;
-  }
+  auto source = std::make_shared<FileSource>(std::move(source_path),
+                                             std::move(source_text));
+  auto loaded = source->load(0);
+  if (!loaded.ok()) return loaded.diag();
   const FileWorkload& fw = loaded.value();
-  if (lint_out != nullptr) *lint_out = fw.lint;
 
   // Lane variants need a call-only @main (see replicate_lanes); reject
   // here, at registration, instead of throwing mid-sweep.
   for (const auto& item : fw.baseline->entry()->body) {
     if (!std::holds_alternative<ir::Call>(item)) {
-      return tytra::make_error(source_path +
+      return tytra::make_error(source->path +
                                ": @main must contain only calls to be "
                                "explorable over lane variants");
     }
   }
+  // Advisory static analysis on the verified design: structural rules
+  // only (no device at registration), run only when the caller wants the
+  // notes, and never a reason to fail the registration.
+  if (lint_out != nullptr) {
+    *lint_out = ir::lint::run_lint(*fw.baseline).findings.all();
+  }
 
   WorkloadInfo info;
   info.name = std::move(name);
-  info.source = source_path;
+  info.source = source->path;
   info.summary = "file-backed design '" + fw.baseline->name + "'";
   info.nd_help = fw.nd_constants.empty()
                      ? std::string("fixed-size design (--nd does not apply)")
                      : "value for !" + fw.nd_constants.front() +
                            (fw.nd_constants.size() > 1 ? ", ..." : "");
   info.default_nd = fw.default_nd;
-  info.ndrange = [source_text,
-                  source_path](std::uint32_t nd) -> tytra::Result<std::uint64_t> {
+  info.ndrange = [source](std::uint32_t nd) -> tytra::Result<std::uint64_t> {
     if (nd == 0) {
-      return tytra::make_error(source_path + ": --nd must be positive");
+      return tytra::make_error(source->path + ": --nd must be positive");
     }
-    auto l = load_file_workload(source_text, nd);
-    if (!l.ok()) {
-      tytra::Diag d = l.diag();
-      d.message = source_path + ": " + d.message;
-      return d;
-    }
+    auto l = source->load(nd);
+    if (!l.ok()) return l.diag();
     return l.value().baseline->meta.global_size;
   };
-  info.make_lowerer = [source_text](std::uint32_t nd) {
-    auto l = load_file_workload(source_text, nd);
+  info.make_lowerer = [source](std::uint32_t nd) {
+    auto l = source->load(nd);
     if (!l.ok()) {
       // ndrange() ran first on the same text and dimension (make_job
       // guarantees the order), so this is unreachable short of a caller
       // bypassing validation.
       throw std::runtime_error(l.error_message());
     }
-    return file_lowerer(std::move(l).take().baseline);
+    FileWorkload fw = std::move(l).take();
+    return keyed_lowerer(std::move(fw.fingerprint), std::move(fw.baseline));
   };
   return reg.try_add(std::move(info));
 }

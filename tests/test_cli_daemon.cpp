@@ -369,10 +369,11 @@ TEST(CliDaemon, StandaloneSigtermHonorsInterruptContract) {
   const std::string out_path = tag + ".out";
   const std::string err_path = tag + ".err";
   const std::string status_path = tag + ".status";
-  // ~1,800 jobs of runway (roughly 0.4 s standalone on 4 cores) so the
-  // TERM at 100 ms lands mid-campaign with wide margins on both sides.
+  // ~7,200 jobs of runway (roughly 0.5 s standalone on 4 cores in a
+  // Release build) so the TERM at 100 ms lands mid-campaign with wide
+  // margins on both sides.
   std::string nds;
-  for (int n = 20; n <= 620; ++n) nds += " --nd " + std::to_string(n);
+  for (int n = 20; n <= 2420; ++n) nds += " --nd " + std::to_string(n);
   const std::string cmd =
       std::string("sh -c \"") + TYTRA_CC_BIN + " campaign" + nds +
       " --max-lanes 64 > " + out_path + " 2> " + err_path +

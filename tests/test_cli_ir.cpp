@@ -121,6 +121,56 @@ TEST(CliIr, TuneAcceptsIr) {
   EXPECT_NE(r.out.find("tuning"), std::string::npos) << r.out;
 }
 
+// The advisory lint notes on stderr: a file workload's structural lint
+// findings print once per registration (not once per --nd), as
+// `tytra-cc: <path>: <diag>`; the lint verb reports them in its own
+// output instead.
+TEST(CliIr, AdvisoryLintNotesPrintOncePerFile) {
+  const std::string path = "cli_ir_fold.tir";
+  {
+    std::ofstream fold(path);
+    fold << "!name = folded\n"
+            "!ND1 = 8\n"
+            "!ngs = ND1*ND1\n"
+            "memobj @m_a global ui18 x ND1*ND1\n"
+            "memobj @m_b global ui18 x ND1*ND1\n"
+            "stream @s_a reads @m_a pattern cont\n"
+            "stream @s_b writes @m_b pattern cont\n"
+            "@main.a = addrSpace(1) ui18, !\"istream\", !\"CONT\", !0, "
+            "!\"s_a\"\n"
+            "@main.b = addrSpace(1) ui18, !\"ostream\", !\"CONT\", !0, "
+            "!\"s_b\"\n"
+            "define void @f0(ui18 %a, ui18 %b) pipe {\n"
+            "  ui18 %k = mov ui18 7\n"
+            "  ui18 %t1 = add ui18 %a, %k\n"
+            "  ui18 @b = mov ui18 %t1\n"
+            "}\n"
+            "define void @main() pipe {\n"
+            "  call @f0(@a, @b) pipe\n"
+            "}\n";
+  }
+  const std::string note =
+      "tytra-cc: " + path +
+      ": warning [TL013] at 11:3: all operands of this mov are constants; "
+      "the result is foldable at compile time\n";
+
+  const RunResult campaign =
+      run_cc("campaign --ir " + path + " --nd 8 --nd 16");
+  const RunResult explore = run_cc("explore --ir " + path);
+  const RunResult lint = run_cc("lint --ir " + path);
+  std::remove(path.c_str());
+
+  ASSERT_EQ(campaign.exit_code, 0) << campaign.err;
+  EXPECT_EQ(campaign.err, note);
+  ASSERT_EQ(explore.exit_code, 0) << explore.err;
+  EXPECT_EQ(explore.err, note);
+  ASSERT_EQ(lint.exit_code, 0) << lint.err;
+  EXPECT_EQ(lint.err.find("tytra-cc: " + path), std::string::npos)
+      << lint.err;
+  EXPECT_NE(lint.out.find("warning [TL013] at 11:3"), std::string::npos)
+      << lint.out;
+}
+
 #else  // TYTRA_CC_BIN / TYTRA_SOURCE_DIR
 
 TEST(CliIr, RequiresToolPaths) {

@@ -1,6 +1,7 @@
 // Tests for the file-backed workload path: the `.tir` loader, the
 // `!ND<k>` re-parameterization contract, lane replication equivalence
-// against the built-in kernels, and registry integration. The golden
+// against the built-in kernels, registry integration, and the one-load-
+// per-(file, nd) contract of the registered hooks. The golden
 // test pins the acceptance criterion: a file-backed SOR sweep is
 // byte-identical to the built-in `sor` workload on every device preset
 // and across thread counts.
@@ -8,13 +9,17 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "tytra/dse/session.hpp"
 #include "tytra/kernels/file_workload.hpp"
 #include "tytra/kernels/registry.hpp"
+#include "tytra/support/failpoint.hpp"
 #include "tytra/target/device.hpp"
 
 namespace {
@@ -183,6 +188,103 @@ TEST(FileWorkload, RegistrationByPathIsIdempotent) {
   auto missing = kernels::register_file_workload(reg, "no/such/file.tir");
   ASSERT_FALSE(missing.ok());
   EXPECT_NE(missing.error_message().find("cannot read"), std::string::npos);
+}
+
+// The load contract: each design loads once per (file, nd) per process.
+// `workload.parse` fires on every load, so armed at 100% it fails (and
+// counts) exactly the loads a make_job still performs.
+TEST(FileWorkload, EachDesignLoadsOncePerDimension) {
+  const std::vector<std::string> files = {"sor.tir", "blur.tir",
+                                          "dotacc.tir"};
+  failpoint::reset();
+  kernels::Registry reg;
+  for (const auto& f : files) {
+    const std::string path = source_dir() + "/examples/ir/" + f;
+    auto added = kernels::register_file_workload(reg, path);
+    ASSERT_TRUE(added.ok()) << added.error_message();
+  }
+  ASSERT_EQ(failpoint::fired_count(), 0u);
+
+  // The registration load answers make_job at each default nd.
+  failpoint::arm("workload.parse", 100);
+  for (const auto& f : files) {
+    const std::string path = source_dir() + "/examples/ir/" + f;
+    auto job = reg.make_job(path, reg.find(path)->default_nd);
+    EXPECT_TRUE(job.ok()) << f << ": " << job.error_message();
+  }
+  EXPECT_EQ(failpoint::fired_count(), 0u);
+
+  // A new nd loads, and the failure names the file.
+  const std::string sor = source_dir() + "/examples/ir/sor.tir";
+  auto failed = reg.make_job(sor, 64);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failpoint::fired_count(), 1u);
+  EXPECT_EQ(failed.diag().message.rfind(sor + ": injected fault", 0), 0u)
+      << failed.diag().message;
+  // The failed load left the slot holding the default nd.
+  EXPECT_TRUE(reg.make_job(sor, 24).ok());
+  EXPECT_EQ(failpoint::fired_count(), 1u);
+
+  // One load at nd 64 serves ndrange and make_lowerer, and a repeat.
+  failpoint::arm("workload.parse", 0);
+  auto loaded = reg.make_job(sor, 64);
+  ASSERT_TRUE(loaded.ok()) << loaded.error_message();
+  failpoint::arm("workload.parse", 100);
+  auto again = reg.make_job(sor, 64);
+  ASSERT_TRUE(again.ok()) << again.error_message();
+  EXPECT_EQ(again.value().n, 64ull * 64 * 64);
+  EXPECT_EQ(failpoint::fired_count(), 1u);
+  failpoint::reset();
+
+  // The lowerer's fingerprint is the memoized load's digest.
+  auto direct = kernels::load_file_workload(sor_tir(), 64);
+  ASSERT_TRUE(direct.ok()) << direct.error_message();
+  const auto* keyed =
+      dynamic_cast<const dse::KeyedLowerer*>(again.value().lower.get());
+  ASSERT_NE(keyed, nullptr);
+  EXPECT_EQ(keyed->fingerprint(),
+            kernels::file_lowerer(direct.value().baseline).fingerprint());
+}
+
+// The hooks' shared slot is locked: make_job from several threads at
+// different dimensions gives each job the size and fingerprint of a
+// load at its own dimension.
+TEST(FileWorkload, ConcurrentMakeJobsKeepTheirDimension) {
+  kernels::Registry reg;
+  auto added =
+      kernels::register_file_workload(reg, "sor-file", "sor.tir", sor_tir());
+  ASSERT_TRUE(added.ok()) << added.error_message();
+  const std::vector<std::uint32_t> nds = {16, 24, 32, 48};
+  std::map<std::uint32_t, std::string> fingerprints;
+  for (const std::uint32_t nd : nds) {
+    auto loaded = kernels::load_file_workload(sor_tir(), nd);
+    ASSERT_TRUE(loaded.ok()) << loaded.error_message();
+    fingerprints[nd] = loaded.value().fingerprint;
+  }
+
+  std::vector<int> wrong(nds.size(), 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < nds.size(); ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = 0; i < 50; ++i) {
+        const std::uint32_t nd = nds[(t + i) % nds.size()];
+        auto job = reg.make_job("sor-file", nd);
+        const auto* keyed =
+            job.ok() ? dynamic_cast<const dse::KeyedLowerer*>(
+                           job.value().lower.get())
+                     : nullptr;
+        if (keyed == nullptr ||
+            job.value().n != std::uint64_t{nd} * nd * nd ||
+            keyed->fingerprint() != fingerprints.at(nd)) {
+          ++wrong[t];
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (std::size_t t = 0; t < nds.size(); ++t) {
+    EXPECT_EQ(wrong[t], 0) << "thread " << t;
+  }
 }
 
 // The acceptance criterion: the file-backed SOR sweeps byte-identically
