@@ -52,7 +52,6 @@
 #include "tytra/dse/cancel.hpp"
 #include "tytra/dse/explorer.hpp"
 #include "tytra/dse/pool.hpp"
-#include "tytra/dse/tuner.hpp"
 #include "tytra/target/device.hpp"
 
 namespace tytra::dse {
@@ -255,7 +254,7 @@ class Session {
   /// CancelledError. cache_stats are filled only when the session caches.
   DseResult explore(const Job& job);
 
-  /// Walks the feedback path from the baseline variant (see dse/tuner.hpp),
+  /// Walks the feedback path from the baseline variant (see dse/explorer.hpp),
   /// riding the session cache — after explore() of the same job, the whole
   /// trajectory answers at the variant-key level. The walk is bounded by
   /// the job's resolved lane cap (Job::max_lanes, falling back to
@@ -430,13 +429,8 @@ std::string format_campaign(const CampaignResult& result);
 /// The merged frontier, labeled with workload/device per row.
 std::string format_campaign_pareto(const CampaignResult& result);
 
-// ---------------------------------------------------------------------------
-// Structured (JSON) renderings — the machine-readable counterpart of the
-// format_* tables, used by `tytra-cc --json` and the CI smoke step.
-// ---------------------------------------------------------------------------
-
-std::string format_sweep_json(const DseResult& result);
-std::string format_tune_json(const TuneResult& result);
+/// The campaign as JSON (the machine-readable counterpart of the two
+/// tables above, used by `tytra-cc campaign --json`).
 std::string format_campaign_json(const CampaignResult& result);
 
 }  // namespace tytra::dse

@@ -66,7 +66,7 @@ struct Diag {
 
   /// Machine-readable rendering: one JSON object with "severity",
   /// "code" (null when uncoded), "line"/"col" (0 = unknown) and
-  /// "message". Defined in src/support/diag.cpp (needs json::escape).
+  /// "message". Defined in src/support/diag.cpp (needs json::append_escaped).
   [[nodiscard]] std::string to_json() const;
 };
 

@@ -8,16 +8,15 @@
 // objects, arrays, strings (with \uXXXX escapes), doubles, bools, null.
 //
 // Deliberately not a general-purpose library: no DOM mutation helpers,
-// no document serialization (the renderers own that, through escape()
-// and write_number() below), no streaming. Strictness
-// follows RFC 8259 where it matters for a network-facing daemon —
-// depth-limited nesting (a 10 kB frame of '[' must not recurse the
-// stack away), duplicate keys keep the last value, trailing garbage is
-// an error — and the parse result is a structured tytra::Result, never
-// an exception, because every malformed frame is expected input.
+// no document serialization (every JSON producer appends to a std::string
+// through append_escaped() and append_number() below), no streaming.
+// Strictness follows RFC 8259 where it matters for a network-facing daemon
+// — depth-limited nesting (a 10 kB frame of '[' must not recurse the stack
+// away), duplicate keys keep the last value, trailing garbage is an error
+// — and the parse result is a structured tytra::Result, never an
+// exception, because every malformed frame is expected input.
 
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -91,15 +90,15 @@ class Value {
 /// error diagnostic carries the byte offset of the first defect.
 Result<Value> parse(std::string_view text);
 
-/// Escapes `s` for embedding in a JSON string literal — the same
-/// escaping rules as the dse renderers ('"', '\\', \n, \t, other control
-/// bytes as \u00XX). Exposed here so protocol code composing frames by
-/// hand agrees byte-for-byte with what the parser accepts.
-std::string escape(std::string_view s);
+/// Appends `s` to `out` escaped for a JSON string literal (without the
+/// quotes): '"', '\\', \n and \t by name, other control bytes as \u00xx.
+/// The one place a JSON string is escaped, so every producer agrees
+/// byte-for-byte with what the parser accepts.
+void append_escaped(std::string& out, std::string_view s);
 
-/// Writes `v` as a JSON number at round-trip precision (17 significant
-/// digits); non-finite values, which JSON cannot carry, become null. The
-/// stream's own precision is restored afterwards.
-void write_number(std::ostream& os, double v);
+/// Appends `v` to `out` as a JSON number at round-trip precision (17
+/// significant digits, printf's %.17g); non-finite values, which JSON
+/// cannot carry, become null. The one place a JSON number is printed.
+void append_number(std::string& out, double v);
 
 }  // namespace tytra::json

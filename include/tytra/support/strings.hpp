@@ -25,4 +25,8 @@ namespace tytra {
 /// fixed-precision double formatting ("%.*f").
 [[nodiscard]] std::string format_fixed(double value, int precision);
 
+/// General double formatting ("%.*g"); precision 6 is what an ostream
+/// prints by default.
+[[nodiscard]] std::string format_general(double value, int precision);
+
 }  // namespace tytra

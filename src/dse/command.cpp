@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <utility>
 
 #include "tytra/frontend/transform.hpp"
@@ -50,9 +50,7 @@ bool single_job(Verb verb) {
 bool read_file(const std::string& path, std::string& out) {
   std::ifstream in(path);
   if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  out = ss.str();
+  out.assign(std::istreambuf_iterator<char>(in), {});
   return true;
 }
 
@@ -247,13 +245,15 @@ Result<Command> finish_args(Command cmd, const std::string& kernel) {
 // Request frames
 // ---------------------------------------------------------------------------
 
-void write_strings(std::ostringstream& os, std::string_view key,
+void write_strings(std::string& out, std::string_view key,
                    const std::vector<std::string>& values) {
-  os << ", \"" << key << "\": [";
+  out.append(", \"").append(key).append("\": [");
   for (std::size_t i = 0; i < values.size(); ++i) {
-    os << (i ? ", " : "") << "\"" << json::escape(values[i]) << "\"";
+    out += i ? ", \"" : "\"";
+    json::append_escaped(out, values[i]);
+    out += '"';
   }
-  os << "]";
+  out += ']';
 }
 
 /// A whole number in [0, max], so the cast to u32 that follows is
@@ -410,44 +410,51 @@ Result<Command> parse_args(const std::vector<std::string>& args) {
 }
 
 std::string encode(const Command& cmd) {
-  std::ostringstream os;
-  os << "{\"cmd\": \"" << verb_name(cmd.verb) << "\"";
+  std::string out = "{\"cmd\": \"";
+  out.append(verb_name(cmd.verb)).append("\"");
   if (cmd.verb == Verb::Ping || cmd.verb == Verb::Shutdown) {
-    os << "}";
-    return os.str();
+    out += '}';
+    return out;
   }
   if (!single_job(cmd.verb)) {
-    write_strings(os, cmd.verb == Verb::Lint ? "targets" : "kernels",
+    write_strings(out, cmd.verb == Verb::Lint ? "targets" : "kernels",
                   cmd.kernels);
   } else if (!cmd.kernels.empty()) {
-    os << ", \"kernel\": \"" << json::escape(cmd.kernels.front()) << "\"";
+    out += ", \"kernel\": \"";
+    json::append_escaped(out, cmd.kernels.front());
+    out += '"';
   }
   if (cmd.verb == Verb::Campaign) {
-    os << ", \"nds\": [";
+    out += ", \"nds\": [";
     for (std::size_t i = 0; i < cmd.nds.size(); ++i) {
-      os << (i ? ", " : "") << cmd.nds[i];
+      out += i ? ", " : "";
+      out += std::to_string(cmd.nds[i]);
     }
-    os << "]";
+    out += ']';
   } else if (!cmd.nds.empty()) {
-    os << ", \"nd\": " << cmd.nds.front();
+    out += ", \"nd\": " + std::to_string(cmd.nds.front());
   }
-  os << ", \"max_lanes\": " << cmd.max_lanes << ", \"max_steps\": "
-     << cmd.max_steps << ", \"deadline_ms\": " << cmd.deadline_ms
-     << ", \"json\": " << (cmd.json ? "true" : "false")
-     << ", \"pareto\": " << (cmd.pareto ? "true" : "false")
-     << ", \"on_error\": \"" << (cmd.on_error_abort ? "abort" : "continue")
-     << "\", \"fail_on\": \""
-     << (cmd.fail_on == ir::lint::FailOn::Warning ? "warning" : "error")
-     << "\"";
-  write_strings(os, "devices", cmd.devices);
-  os << ", \"irs\": [";
+  out += ", \"max_lanes\": " + std::to_string(cmd.max_lanes) +
+         ", \"max_steps\": " + std::to_string(cmd.max_steps) +
+         ", \"deadline_ms\": " + std::to_string(cmd.deadline_ms);
+  out += cmd.json ? ", \"json\": true" : ", \"json\": false";
+  out += cmd.pareto ? ", \"pareto\": true" : ", \"pareto\": false";
+  out += cmd.on_error_abort ? ", \"on_error\": \"abort\""
+                            : ", \"on_error\": \"continue\"";
+  out += cmd.fail_on == ir::lint::FailOn::Warning
+             ? ", \"fail_on\": \"warning\""
+             : ", \"fail_on\": \"error\"";
+  write_strings(out, "devices", cmd.devices);
+  out += ", \"irs\": [";
   for (std::size_t i = 0; i < cmd.irs.size(); ++i) {
-    os << (i ? ", " : "") << "{\"name\": \"" << json::escape(cmd.irs[i].name)
-       << "\", \"source\": \""
-       << json::escape(cmd.irs[i].source.value_or("")) << "\"}";
+    out += i ? ", {\"name\": \"" : "{\"name\": \"";
+    json::append_escaped(out, cmd.irs[i].name);
+    out += "\", \"source\": \"";
+    json::append_escaped(out, cmd.irs[i].source.value_or(""));
+    out += "\"}";
   }
-  os << "]}";
-  return os.str();
+  out += "]}";
+  return out;
 }
 
 Result<Command> decode(const json::Value& request) {

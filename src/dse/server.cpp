@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -194,19 +193,22 @@ struct Server::Impl {
   /// (the client prints `tytra-cc: <message>`), anything else as the
   /// "result" frame carrying the run's streams.
   void send_outcome(Connection& c, std::uint64_t req_id, const Outcome& o) {
-    std::ostringstream os;
-    os << "{\"type\": \"" << (o.error.empty() ? "result" : "error")
-       << "\", \"req\": " << req_id << ", \"exit\": " << o.exit;
+    std::string out = o.error.empty() ? "{\"type\": \"result\", \"req\": "
+                                      : "{\"type\": \"error\", \"req\": ";
+    out += std::to_string(req_id) + ", \"exit\": " + std::to_string(o.exit);
     if (!o.error.empty()) {
-      os << ", \"message\": \"" << json::escape(o.error) << "\"";
+      out += ", \"message\": \"";
+      json::append_escaped(out, o.error);
     } else {
-      os << ", \"stdout\": \"" << json::escape(o.out) << "\"";
+      out += ", \"stdout\": \"";
+      json::append_escaped(out, o.out);
       if (!o.err.empty()) {
-        os << ", \"stderr\": \"" << json::escape(o.err) << "\"";
+        out += "\", \"stderr\": \"";
+        json::append_escaped(out, o.err);
       }
     }
-    os << "}";
-    send(c, os.str());
+    out += "\"}";
+    send(c, out);
   }
 
   void send_error(Connection& c, std::uint64_t req_id, int exit_code,
@@ -217,21 +219,26 @@ struct Server::Impl {
   void send_job_frame(RequestState& req, std::size_t index, const Job& job,
                       const JobStatus& status, const std::string& payload_key,
                       const std::string& payload_json) {
-    std::ostringstream os;
-    os << "{\"type\": \"job\", \"req\": " << req.req_id
-       << ", \"job\": " << index << ", \"jobs\": " << req.plan.jobs.size()
-       << ", \"workload\": \"" << json::escape(job.workload)
-       << "\", \"nd\": " << job.nd << ", \"device\": \""
-       << json::escape(job.device) << "\", \"status\": \""
-       << job_state_name(status.state) << "\"";
+    std::string out = "{\"type\": \"job\", \"req\": " +
+                      std::to_string(req.req_id) +
+                      ", \"job\": " + std::to_string(index) +
+                      ", \"jobs\": " + std::to_string(req.plan.jobs.size()) +
+                      ", \"workload\": \"";
+    json::append_escaped(out, job.workload);
+    out += "\", \"nd\": " + std::to_string(job.nd) + ", \"device\": \"";
+    json::append_escaped(out, job.device);
+    out += "\", \"status\": \"";
+    out += job_state_name(status.state);
     if (!status.ok()) {
-      os << ", \"error\": \"" << json::escape(status.error) << "\"";
+      out += "\", \"error\": \"";
+      json::append_escaped(out, status.error);
     }
+    out += '"';
     if (!payload_json.empty()) {
-      os << ", \"" << payload_key << "\": " << payload_json;
+      out += ", \"" + payload_key + "\": " + payload_json;
     }
-    os << "}";
-    send(*req.conn, os.str());
+    out += '}';
+    send(*req.conn, out);
   }
 
   // ---- reader thread ----------------------------------------------------
@@ -321,14 +328,14 @@ struct Server::Impl {
     requests_.fetch_add(1, std::memory_order_relaxed);
 
     if (cmd.verb == Verb::Ping) {
-      std::ostringstream os;
-      os << "{\"type\": \"pong\", \"req\": " << unit.req_id
-         << ", \"requests\": " << requests_.load(std::memory_order_relaxed)
-         << ", \"connections\": "
-         << connections_.load(std::memory_order_relaxed)
-         << ", \"jobs_ok\": " << jobs_ok_.load(std::memory_order_relaxed)
-         << "}";
-      send(*conn, os.str());
+      send(*conn,
+           "{\"type\": \"pong\", \"req\": " + std::to_string(unit.req_id) +
+               ", \"requests\": " +
+               std::to_string(requests_.load(std::memory_order_relaxed)) +
+               ", \"connections\": " +
+               std::to_string(connections_.load(std::memory_order_relaxed)) +
+               ", \"jobs_ok\": " +
+               std::to_string(jobs_ok_.load(std::memory_order_relaxed)) + "}");
       return;
     }
     if (cmd.verb == Verb::Shutdown) {

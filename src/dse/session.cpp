@@ -7,14 +7,12 @@
 #include <cstdio>
 #include <exception>
 #include <functional>
-#include <iomanip>
 #include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <tuple>
@@ -22,7 +20,6 @@
 #include <sys/stat.h>
 
 #include "tytra/support/failpoint.hpp"
-#include "tytra/support/json.hpp"
 #include "tytra/support/strings.hpp"
 
 // This file IS the DSE engine: the batched parallel sweep, the tuner's
@@ -166,9 +163,8 @@ void evaluate_tasks(const std::vector<EvalTask>& tasks, CostCache* cache,
             std::lock_guard<std::mutex> lock(ctx.mu);
             FaultRecord& r = ctx.records[t.job];
             r.state = JobState::TimedOut;
-            std::ostringstream why;
-            why << "deadline exceeded (budget " << budget << " s)";
-            r.message = why.str();
+            r.message = "deadline exceeded (budget " +
+                        tytra::format_general(budget, 6) + " s)";
           }
           continue;
         }
@@ -246,15 +242,13 @@ void accumulate_stats(CacheStats& stats, const std::vector<std::uint8_t>& hits,
   stats.variant_hits = stats.hits;
 }
 
-/// The streaming share of the per-instance time: how much of the budget
-/// the DRAM term claims (0 for form-C designs, ~1 on a bandwidth wall).
+}  // namespace
+
 double bandwidth_share(const cost::CostReport& report) {
   const auto& t = report.throughput;
   return t.seconds_per_instance > 0 ? t.t_mem_stream / t.seconds_per_instance
                                     : 0.0;
 }
-
-}  // namespace
 
 // A point dominates another when it is at least as good on every
 // objective (EKIT >=, util <=, bw-share <=) and strictly better on one.
@@ -475,18 +469,15 @@ TuneResult run_tune(std::uint64_t n, const Lowerer& lower,
       // The resolved lane cap bounds the walk exactly like it bounds the
       // sweep's enumeration (this used to be a hard-coded `next > 1024`
       // that ignored Job::max_lanes / SessionOptions::max_lanes).
-      std::ostringstream why;
-      why << "stopped: lane cap reached (next divisor " << next
-          << " exceeds max_lanes=" << max_lanes << ")";
-      result.verdict = why.str();
+      result.verdict = "stopped: lane cap reached (next divisor " +
+                       std::to_string(next) +
+                       " exceeds max_lanes=" + std::to_string(max_lanes) + ")";
       break;
     }
     current = frontend::reshape_to(frontend::baseline_variant(n), next,
                                    frontend::ParAnn::Par);
-    std::ostringstream why;
-    why << "compute wall at " << placed.report.params.knl
-        << " lanes -> reshapeTo " << next << " lanes";
-    action = why.str();
+    action = "compute wall at " + std::to_string(placed.report.params.knl) +
+             " lanes -> reshapeTo " + std::to_string(next) + " lanes";
   }
 
   // Best valid step; stays nullopt when every step exceeded the device.
@@ -995,237 +986,6 @@ CampaignResult merge_campaign(std::vector<CampaignJobResult> jobs) {
     if (keep[i]) out.pareto.push_back(mapping[i]);
   }
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// Campaign rendering
-// ---------------------------------------------------------------------------
-
-namespace {
-
-std::string job_label(const Job& job) {
-  return job.workload.empty() ? std::string("<custom>") : job.workload;
-}
-
-std::string device_label(const Job& job) {
-  if (!job.device.empty()) return job.device;
-  if (job.db) return job.db->device().name;
-  return "<default>";
-}
-
-void json_cache_stats(std::ostream& os, const CacheStats& s) {
-  os << "{\"hits\": " << s.hits << ", \"misses\": " << s.misses
-     << ", \"variant_hits\": " << s.variant_hits << "}";
-}
-
-void json_entry(std::ostream& os, const DseEntry& e) {
-  const auto& u = e.report.resources.util;
-  os << "{\"lanes\": " << e.report.params.knl << ", \"valid\": "
-     << (e.report.valid ? "true" : "false") << ", \"ekit\": ";
-  json::write_number(os, e.report.throughput.ekit);
-  os << ", \"limiting\": \""
-     << json::escape(cost::wall_name(e.report.throughput.limiting))
-     << "\", \"util\": {\"regs\": ";
-  json::write_number(os, u.regs);
-  os << ", \"aluts\": ";
-  json::write_number(os, u.aluts);
-  os << ", \"bram\": ";
-  json::write_number(os, u.bram);
-  os << ", \"dsps\": ";
-  json::write_number(os, u.dsps);
-  os << "}, \"bw_share\": ";
-  json::write_number(os, bandwidth_share(e.report));
-  os << "}";
-}
-
-/// A frontier point's fields and the closing brace; the caller opens the
-/// object (the campaign view prefixes its own fields).
-void json_pareto_point(std::ostream& os, const ParetoPoint& p,
-                       const DseEntry& e) {
-  os << "\"index\": " << p.index << ", \"lanes\": " << e.report.params.knl
-     << ", \"ekit\": ";
-  json::write_number(os, p.ekit);
-  os << ", \"util_max\": ";
-  json::write_number(os, p.util_max);
-  os << ", \"bw_share\": ";
-  json::write_number(os, p.bw_share);
-  os << "}";
-}
-
-void json_sweep(std::ostream& os, const DseResult& r,
-                std::string_view indent) {
-  os << "{\n" << indent << "  \"variants\": " << r.entries.size() << ",\n"
-     << indent << "  \"explore_seconds\": ";
-  json::write_number(os, r.explore_seconds);
-  os << ",\n" << indent << "  \"cache\": ";
-  json_cache_stats(os, r.cache_stats);
-  os << ",\n" << indent << "  \"best\": ";
-  if (r.best) {
-    os << *r.best;
-  } else {
-    os << "null";
-  }
-  os << ",\n" << indent << "  \"entries\": [";
-  for (std::size_t i = 0; i < r.entries.size(); ++i) {
-    os << (i ? ",\n" : "\n") << indent << "    ";
-    json_entry(os, r.entries[i]);
-  }
-  os << "\n" << indent << "  ],\n" << indent << "  \"pareto\": [";
-  for (std::size_t i = 0; i < r.pareto.size(); ++i) {
-    os << (i ? ",\n" : "\n") << indent << "    {";
-    json_pareto_point(os, r.pareto[i], r.entries[r.pareto[i].index]);
-  }
-  os << "\n" << indent << "  ]\n" << indent << "}";
-}
-
-}  // namespace
-
-std::string format_campaign(const CampaignResult& result) {
-  std::ostringstream os;
-  os << tytra::pad_right("workload", 12) << tytra::pad_right("nd", 8)
-     << tytra::pad_right("device", 18) << tytra::pad_left("variants", 9)
-     << tytra::pad_left("best", 6) << tytra::pad_left("EKIT/s", 12)
-     << "  limiting\n";
-  for (const auto& jr : result.jobs) {
-    os << tytra::pad_right(job_label(jr.job), 12)
-       << tytra::pad_right(jr.job.nd ? std::to_string(jr.job.nd) : "-", 8)
-       << tytra::pad_right(device_label(jr.job), 18)
-       << tytra::pad_left(std::to_string(jr.result.entries.size()), 9);
-    if (!jr.status.ok()) {
-      // The failure domain's row: status (and its reason) in place of
-      // the best-design columns.
-      os << tytra::pad_left("-", 6) << tytra::pad_left("-", 12) << "  "
-         << job_state_name(jr.status.state);
-      if (!jr.status.error.empty()) os << ": " << jr.status.error;
-    } else if (const DseEntry* best = jr.result.best_entry()) {
-      os << tytra::pad_left(std::to_string(best->report.params.knl), 6)
-         << tytra::pad_left(
-                tytra::format_fixed(best->report.throughput.ekit, 1), 12)
-         << "  " << cost::wall_name(best->report.throughput.limiting);
-    } else {
-      os << tytra::pad_left("-", 6) << tytra::pad_left("-", 12)
-         << "  no valid design";
-    }
-    os << "\n";
-  }
-  std::uint64_t variants = 0;
-  for (const auto& jr : result.jobs) variants += jr.result.entries.size();
-  os << "campaign: " << result.jobs.size() << " jobs, " << variants
-     << " evaluations; cache: " << result.cache_stats.hits << " hits ("
-     << result.cache_stats.variant_hits << " pre-lowering) / "
-     << result.cache_stats.misses << " misses\n";
-  // Degradation summary only when something degraded — a fault-free
-  // campaign's table is byte-identical to the pre-failure-model output.
-  if (const std::size_t degraded = result.degraded(); degraded > 0) {
-    std::size_t failed = 0;
-    std::size_t timed_out = 0;
-    std::size_t cancelled = 0;
-    for (const auto& jr : result.jobs) {
-      if (jr.status.state == JobState::Failed) ++failed;
-      if (jr.status.state == JobState::TimedOut) ++timed_out;
-      if (jr.status.state == JobState::Cancelled) ++cancelled;
-    }
-    os << "degraded: " << degraded << " of " << result.jobs.size()
-       << " jobs (failed=" << failed << " timed_out=" << timed_out
-       << " cancelled=" << cancelled << ")\n";
-  }
-  return os.str();
-}
-
-std::string format_campaign_pareto(const CampaignResult& result) {
-  std::ostringstream os;
-  os << tytra::pad_right("workload", 12) << tytra::pad_right("device", 18)
-     << tytra::pad_left("lanes", 6) << tytra::pad_left("EKIT/s", 12)
-     << tytra::pad_left("util%", 8) << tytra::pad_left("bw-share", 10)
-     << "  limiting\n";
-  for (const auto& p : result.pareto) {
-    const auto& jr = result.jobs[p.job];
-    const auto& e = result.entry(p);
-    os << tytra::pad_right(job_label(jr.job), 12)
-       << tytra::pad_right(device_label(jr.job), 18)
-       << tytra::pad_left(std::to_string(e.report.params.knl), 6)
-       << tytra::pad_left(tytra::format_fixed(p.point.ekit, 1), 12)
-       << tytra::pad_left(tytra::format_fixed(p.point.util_max, 1), 8)
-       << tytra::pad_left(tytra::format_fixed(p.point.bw_share, 3), 10)
-       << "  " << cost::wall_name(e.report.throughput.limiting) << "\n";
-  }
-  std::size_t frontier_in = 0;
-  for (const auto& jr : result.jobs) frontier_in += jr.result.pareto.size();
-  os << "merged frontier: " << result.pareto.size() << " of " << frontier_in
-     << " per-job frontier points\n";
-  return os.str();
-}
-
-std::string format_sweep_json(const DseResult& result) {
-  std::ostringstream os;
-  json_sweep(os, result, "");
-  os << "\n";
-  return os.str();
-}
-
-std::string format_tune_json(const TuneResult& result) {
-  std::ostringstream os;
-  os << "{\n  \"steps\": [";
-  for (std::size_t i = 0; i < result.trajectory.size(); ++i) {
-    const auto& s = result.trajectory[i];
-    os << (i ? ",\n" : "\n") << "    {\"step\": " << i << ", \"lanes\": "
-       << s.report.params.knl << ", \"valid\": "
-       << (s.report.valid ? "true" : "false") << ", \"ekit\": ";
-    json::write_number(os, s.report.throughput.ekit);
-    os << ", \"limiting\": \""
-       << json::escape(cost::wall_name(s.report.throughput.limiting))
-       << "\", \"action\": \"" << json::escape(s.action) << "\"}";
-  }
-  os << "\n  ],\n  \"best\": ";
-  if (result.best) {
-    os << *result.best;
-  } else {
-    // No valid step (empty trajectory, or nothing fit the device): the
-    // old encoding leaked the default index 0 here, presenting an
-    // invalid design as best.
-    os << "null";
-  }
-  os << ",\n  \"verdict\": \"" << json::escape(result.verdict) << "\"\n}\n";
-  return os.str();
-}
-
-std::string format_campaign_json(const CampaignResult& result) {
-  std::ostringstream os;
-  os << "{\n  \"campaign\": {\n    \"jobs\": [";
-  for (std::size_t j = 0; j < result.jobs.size(); ++j) {
-    const auto& jr = result.jobs[j];
-    os << (j ? ",\n" : "\n") << "      {\"workload\": \""
-       << json::escape(job_label(jr.job)) << "\", \"nd\": " << jr.job.nd
-       << ", \"n\": " << jr.job.n << ", \"device\": \""
-       << json::escape(device_label(jr.job)) << "\", \"status\": \""
-       << job_state_name(jr.status.state) << "\"";
-    if (!jr.status.ok()) {
-      os << ", \"error\": \"" << json::escape(jr.status.error)
-         << "\", \"evaluated\": " << jr.status.evaluated
-         << ", \"faults\": " << jr.status.faults
-         << ", \"skipped\": " << jr.status.skipped;
-    }
-    os << ", \"sweep\": ";
-    json_sweep(os, jr.result, "      ");
-    os << "}";
-  }
-  os << "\n    ],\n    \"pareto\": [";
-  for (std::size_t i = 0; i < result.pareto.size(); ++i) {
-    const auto& p = result.pareto[i];
-    const auto& jr = result.jobs[p.job];
-    os << (i ? ",\n" : "\n") << "      {\"job\": " << p.job
-       << ", \"workload\": \"" << json::escape(job_label(jr.job))
-       << "\", \"device\": \"" << json::escape(device_label(jr.job))
-       << "\", ";
-    json_pareto_point(os, p.point, result.entry(p));
-  }
-  os << "\n    ],\n    \"cache\": ";
-  json_cache_stats(os, result.cache_stats);
-  os << ",\n    \"degraded\": " << result.degraded();
-  os << ",\n    \"seconds\": ";
-  json::write_number(os, result.campaign_seconds);
-  os << "\n  }\n}\n";
-  return os.str();
 }
 
 }  // namespace tytra::dse

@@ -87,7 +87,7 @@ std::string format_lint(const LintReport& report, std::string_view subject) {
 
 std::string format_lint_json(const LintReport& report, std::string_view name) {
   std::string out = "{\"name\": \"";
-  out += json::escape(name);
+  json::append_escaped(out, name);
   out += "\", \"clean\": ";
   out += report.clean() ? "true" : "false";
   out += ", \"findings\": " + report.findings.to_json();

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -197,30 +196,35 @@ std::string format_registry(const Registry& reg) {
 }
 
 std::string format_registry_json(const Registry& reg) {
-  std::ostringstream os;
-  os << "{\n  \"workloads\": [";
+  std::string out = "{\n  \"workloads\": [";
   const auto& entries = reg.all();
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const auto& info = entries[i];
-    os << (i ? ",\n" : "\n") << "    {\"name\": \""
-       << tytra::json::escape(info.name) << "\", \"summary\": \""
-       << tytra::json::escape(info.summary) << "\", \"nd_help\": \""
-       << tytra::json::escape(info.nd_help)
-       << "\", \"default_nd\": " << info.default_nd << ", \"source\": ";
+    out += i ? ",\n    {\"name\": \"" : "\n    {\"name\": \"";
+    tytra::json::append_escaped(out, info.name);
+    out += "\", \"summary\": \"";
+    tytra::json::append_escaped(out, info.summary);
+    out += "\", \"nd_help\": \"";
+    tytra::json::append_escaped(out, info.nd_help);
+    out += "\", \"default_nd\": " + std::to_string(info.default_nd) +
+           ", \"source\": ";
     if (info.source.empty()) {
-      os << "null";
+      out += "null}";
     } else {
-      os << "\"" << tytra::json::escape(info.source) << "\"";
+      out += '"';
+      tytra::json::append_escaped(out, info.source);
+      out += "\"}";
     }
-    os << "}";
   }
-  os << "\n  ],\n  \"presets\": [";
+  out += "\n  ],\n  \"presets\": [";
   const auto& presets = target::preset_names();
   for (std::size_t i = 0; i < presets.size(); ++i) {
-    os << (i ? ", " : "") << "\"" << tytra::json::escape(presets[i]) << "\"";
+    out += i ? ", \"" : "\"";
+    tytra::json::append_escaped(out, presets[i]);
+    out += '"';
   }
-  os << "]\n}\n";
-  return os.str();
+  out += "]\n}\n";
+  return out;
 }
 
 tytra::Result<dse::Job> Registry::make_job(std::string_view workload,

@@ -1,8 +1,9 @@
 #include "tytra/support/csv.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <stdexcept>
+
+#include "tytra/support/strings.hpp"
 
 namespace tytra {
 
@@ -41,11 +42,7 @@ void CsvTable::add_row(std::vector<std::string> cells) {
 void CsvTable::add_row(const std::vector<double>& values) {
   std::vector<std::string> cells;
   cells.reserve(values.size());
-  for (const double v : values) {
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%g", v);
-    cells.emplace_back(buf);
-  }
+  for (const double v : values) cells.push_back(format_general(v, 6));
   add_row(std::move(cells));
 }
 

@@ -12,7 +12,7 @@ std::string Diag::to_json() const {
     out += "null";
   } else {
     out += '"';
-    out += json::escape(code);
+    json::append_escaped(out, code);
     out += '"';
   }
   out += ", \"line\": ";
@@ -20,7 +20,7 @@ std::string Diag::to_json() const {
   out += ", \"col\": ";
   out += std::to_string(loc.col);
   out += ", \"message\": \"";
-  out += json::escape(message);
+  json::append_escaped(out, message);
   out += "\"}";
   return out;
 }

@@ -1,9 +1,7 @@
 #include "tytra/support/json.hpp"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <ostream>
 #include <utility>
 
 namespace tytra::json {
@@ -165,10 +163,14 @@ struct Parser {
       }
       while (!at_end() && text[pos] >= '0' && text[pos] <= '9') ++pos;
     }
-    // The slice is a valid JSON number; strtod accepts a superset, so
-    // this cannot fail, only round (which is fine — doubles are the type).
-    const std::string slice(text.substr(start, pos - start));
-    out = std::strtod(slice.c_str(), nullptr);
+    // A valid JSON number, read locale-free; what can still fail is range
+    // (1e999, 1e-999), which is rejected rather than saturated.
+    const auto [end, ec] =
+        std::from_chars(text.data() + start, text.data() + pos, out);
+    if (ec != std::errc() || end != text.data() + pos) {
+      pos = start;
+      return fail("number out of range");
+    }
     return true;
   }
 
@@ -325,36 +327,37 @@ Result<Value> parse(std::string_view text) {
   return v;
 }
 
-std::string escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
+void append_escaped(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run = 0;  // start of the pending run of verbatim bytes
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\t': out += "\\t"; break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+        out += "\\u00";
+        out += kHex[c >> 4];
+        out += kHex[c & 0xF];
     }
   }
-  return out;
+  out.append(s.data() + run, s.size() - run);
 }
 
-void write_number(std::ostream& os, double v) {
+void append_number(std::string& out, double v) {
   if (!std::isfinite(v)) {
-    os << "null";
+    out += "null";
     return;
   }
-  const std::streamsize saved = os.precision(17);
-  os << v;
-  os.precision(saved);
+  char buf[32];  // %.17g needs at most 24: sign, 17 digits, '.', "e-308"
+  const auto r =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17);
+  out.append(buf, r.ptr);
 }
 
 }  // namespace tytra::json

@@ -1,6 +1,7 @@
 #include "tytra/support/strings.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -70,6 +71,13 @@ std::string format_fixed(double value, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", precision, value);
   return buf;
+}
+
+std::string format_general(double value, int precision) {
+  char buf[64];
+  const auto r = std::to_chars(buf, buf + sizeof buf, value,
+                               std::chars_format::general, precision);
+  return {buf, r.ptr};
 }
 
 }  // namespace tytra

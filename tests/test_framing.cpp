@@ -8,7 +8,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
 #include <cstring>
+#include <limits>
+#include <sstream>
 #include <string>
 #include <thread>
 
@@ -17,6 +22,7 @@
 #include "tytra/support/failpoint.hpp"
 #include "tytra/support/framing.hpp"
 #include "tytra/support/json.hpp"
+#include "tytra/support/rng.hpp"
 
 namespace {
 
@@ -89,9 +95,84 @@ TEST(Json, RejectsRunawayNesting) {
 TEST(Json, EscapeRoundTrips) {
   const std::string raw = "line\nquote\"back\\slash\ttab\x01ctl";
   std::string doc = "\"";
-  doc += tytra::json::escape(raw);
+  tytra::json::append_escaped(doc, raw);
   doc += '"';
   EXPECT_EQ(parse_ok(doc).str(), raw);
+}
+
+// append_number against the reference it replaced, an ostream at
+// precision 17, and back through the parser bit for bit.
+TEST(Json, NumberWriterMatchesOstreamAndRoundTrips) {
+  std::ostringstream ref;
+  ref.precision(17);
+  std::string got;
+  std::size_t checked = 0;
+  const auto check = [&](double v) {
+    got.clear();
+    tytra::json::append_number(got, v);
+    if (!std::isfinite(v)) {
+      ASSERT_EQ(got, "null");
+      return;
+    }
+    ref.str("");
+    ref << v;
+    ASSERT_EQ(got, ref.str()) << std::hexfloat << v;
+    auto parsed = tytra::json::parse(got);
+    ASSERT_TRUE(parsed.ok()) << got << ": " << parsed.error_message();
+    const double back = parsed.value().number();
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(back),
+              std::bit_cast<std::uint64_t>(v))
+        << got;
+    ++checked;
+  };
+
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double v :
+       {0.0, -0.0, DBL_MIN, -DBL_MIN, DBL_MAX, -DBL_MAX, DBL_EPSILON,
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        std::nextafter(DBL_MIN, 0.0), 0.1, 1.0 / 3.0, 0.5, 100.0, kInf, -kInf,
+        std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN()}) {
+    check(v);
+  }
+  for (int e = 0; e <= 53; ++e) {
+    const double p = std::ldexp(1.0, e);
+    check(p);
+    check(p - 1);
+    check(-p);
+  }
+  for (double p = 1e15; p <= 1e22; p *= 10) {
+    check(p);
+    check(p + 1);
+    check(-p);
+  }
+
+  tytra::SplitMix64 rng(0x4E554D42);
+  for (int i = 0; i < 1000000; ++i) {
+    const std::uint64_t bits = rng.next_u64();
+    switch (i % 4) {
+      case 0:  // any bit pattern, NaN and inf included
+        check(std::bit_cast<double>(bits));
+        break;
+      case 1:  // subnormals
+        check(std::bit_cast<double>(bits & 0x800FFFFFFFFFFFFFULL));
+        break;
+      case 2:  // integers up to 2^53
+        check(static_cast<double>(bits >> 11));
+        break;
+      default:  // short decimals across magnitudes
+        check(static_cast<double>(bits % 100000) *
+              std::pow(10.0, static_cast<int>((bits >> 40) % 40) - 20));
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GT(checked, 900000u);
+
+  // A number no double holds is rejected, not saturated.
+  for (const char* text : {"1e999", "-1e999", "1e-999"}) {
+    EXPECT_FALSE(tytra::json::parse(text).ok()) << text;
+  }
 }
 
 // The parser must consume everything the engine's own renderers emit —
