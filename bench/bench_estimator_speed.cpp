@@ -11,8 +11,8 @@
 //                    top of the cold path;
 //   warm (variant-key)  warm cache through a KeyedLowerer: identity is
 //                    resolved before lowering, so a hit is a hash of a
-//                    dozen integers plus one lock-free probe — no IR
-//                    exists at all.
+//                    dozen integers, a shard lock and a map lookup — no
+//                    IR exists at all.
 // Each is reported as per-variant microseconds and variants/second. The
 // run fails when the key-less regime hits at all or costs more than
 // 1.25x cold per variant.

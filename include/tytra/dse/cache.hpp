@@ -16,12 +16,10 @@
 // memoized: every lookup lowers and costs, counts one miss and inserts
 // nothing. Tests, not lookups, pin that equal keys mean equal designs.
 //
-// Reads are lock-free: the table is sharded and open-addressed, and its
-// slots hold atomically published pointers to immutable entries, so N
-// workers hammering a warm cache scale linearly instead of serializing on
-// shard mutexes. A mutex is taken only to insert (and the cost-model run
-// itself always happens outside it). clear() is the one exception: it
-// frees entries and must not race with concurrent cost() calls.
+// The table is 16 fixed shards, each a mutex and an ordered map, so a hit
+// is a shard lock and a map lookup. The lowering and the cost-model run
+// of a miss always happen outside the lock. Every operation, clear() and
+// load() included, is safe to run concurrently with cost().
 
 #include <cstdint>
 #include <memory>
@@ -52,14 +50,8 @@ using cost::device_fingerprint;
 /// Thread-safe memoization of cost::cost_design, keyed by variant.
 class CostCache {
  public:
-  static constexpr std::size_t kMinDefaultShards = 16;
-
-  /// `shards` sets the insert-lock granularity (clamped to >= 1). Reads
-  /// never lock, so the shard count does not bound how many workers a
-  /// warm cache can serve; it only spreads insert contention on cold
-  /// sweeps. The default (0) auto-sizes to max(kMinDefaultShards,
-  /// hardware threads).
-  explicit CostCache(std::size_t shards = 0);
+  /// An empty cache of 16 shards; the shard count is fixed.
+  CostCache();
   ~CostCache();
 
   CostCache(const CostCache&) = delete;
@@ -68,9 +60,9 @@ class CostCache {
   /// Returns the memoized report for `variant` as `lowerer` names it on
   /// `db`, or lowers, costs and remembers it. A key-less lowerer lowers
   /// and costs every time and stores nothing. Safe to call concurrently;
-  /// the read path takes no lock. When `was_hit` is non-null it receives
-  /// this lookup's outcome (for per-sweep accounting independent of the
-  /// global counters).
+  /// a hit is a shard lock and a map lookup. When `was_hit` is non-null
+  /// it receives this lookup's outcome (for per-sweep accounting
+  /// independent of the global counters).
   cost::CostReport cost(const frontend::Variant& variant, const Lowerer& lowerer,
                         const cost::DeviceCostDb& db, bool* was_hit = nullptr);
 
@@ -79,30 +71,28 @@ class CostCache {
   [[nodiscard]] std::size_t size() const;
   /// Same as size(): one entry per memoized variant key.
   [[nodiscard]] std::size_t variant_size() const { return size(); }
-  [[nodiscard]] std::size_t shard_count() const;
 
-  /// Drops every entry and resets the counters. NOT safe to run
-  /// concurrently with cost() — entries are freed, and a lock-free reader
-  /// could still be probing them. Debug builds enforce this: clear() with
-  /// a cost() call in flight aborts with a diagnostic instead of racing.
+  /// Drops every entry and resets the counters, locking one shard at a
+  /// time. Safe to run concurrently with cost(): a lookup in flight either
+  /// sees its entry or misses and recomputes the same report.
   void clear();
 
   /// Serializes every entry into a snapshot payload stream as (key,
-  /// check, report), back to back until the end of the payload. There is
-  /// no count prefix, so a dump concurrent with inserts is merely a
-  /// consistent-at-lock sample. Keys are stored as-is — the device
-  /// fingerprint is already folded in, which is what makes persisted
-  /// entries self-invalidating: after a device or key-scheme change the
-  /// old keys are simply never probed.
+  /// check, report), back to back until the end of the payload: shard by
+  /// shard, each in key order, so the bytes depend only on the set of
+  /// keys. There is no count prefix, so a dump concurrent with inserts is
+  /// merely a consistent-per-shard sample. Keys are stored as-is — the
+  /// device fingerprint is already folded in, which is what makes
+  /// persisted entries self-invalidating: after a device or key-scheme
+  /// change the old keys are simply never probed.
   void dump(binio::Encoder& out) const;
 
-  /// Restores entries produced by dump() and returns how many. Requires
-  /// the same quiescence as clear() (enforced in debug builds): the table
-  /// is being repopulated wholesale at construction/attach time, not
-  /// shared yet. On a decode error the cache may hold a prefix of the
-  /// snapshot's entries — every one individually valid — and the caller
-  /// decides whether to keep or clear() them. Never throws; never trusts
-  /// lengths or enum values.
+  /// Restores entries produced by dump() and returns how many; a key
+  /// already resident keeps its entry. Safe to run concurrently with
+  /// cost(), like clear(). On a decode error the cache may hold a prefix
+  /// of the snapshot's entries — every one individually valid — and the
+  /// caller decides whether to keep or clear() them. Never throws; never
+  /// trusts lengths or enum values.
   Result<std::size_t> load(binio::Decoder& in);
 
  private:

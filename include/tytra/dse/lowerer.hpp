@@ -12,6 +12,7 @@
 // must lower to equal designs, which the key-soundness tests check over
 // every built-in, generated and example workload.
 
+#include <compare>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -43,7 +44,7 @@ struct VariantKey {
   std::uint64_t key{0};
   std::uint64_t check{0};
 
-  friend bool operator==(const VariantKey&, const VariantKey&) = default;
+  friend auto operator<=>(const VariantKey&, const VariantKey&) = default;
 };
 
 /// Streams a variant's shape/annotation encoding into a hash builder.

@@ -65,10 +65,10 @@ struct SessionOptions {
   /// thread, 1 runs inline. Explicit requests are clamped: never more
   /// than 4x the hardware concurrency (beyond that workers only add
   /// scheduler contention) and never more workers than variants. Workers
-  /// are not clamped to the cache's shard count: cache reads are
-  /// lock-free, so warm sweeps scale past it. The workers are persistent:
-  /// the session spawns its ThreadPool once, on the first batch that
-  /// resolves to more than one worker, and reuses it for every
+  /// are not clamped to the cache's shard count: a hit is a shard lock
+  /// and a map lookup, so warm sweeps scale past it. The workers are
+  /// persistent: the session spawns its ThreadPool once, on the first
+  /// batch that resolves to more than one worker, and reuses it for every
   /// subsequent sweep, tune walk and campaign.
   std::uint32_t num_threads{0};
   /// When false the session owns no cache and every job runs uncached —
@@ -304,11 +304,11 @@ class Session {
   /// cache (skipped, not an error, when caching is disabled) and stored
   /// calibrations into a pending table that add_device() consults —
   /// a calibration is only ever *used* when the device description's
-  /// fingerprint still matches the one it was computed from. Requires the
-  /// same quiescence as CostCache::clear(). On any failure the session is
-  /// rolled back to fully cold (cache cleared, pending calibrations
-  /// dropped) and the diagnostic returned — a partially-applied snapshot
-  /// can never leak into results.
+  /// fingerprint still matches the one it was computed from. Like every
+  /// Session method, it must not overlap another call on the session. On
+  /// any failure the session is rolled back to fully cold (cache cleared,
+  /// pending calibrations dropped) and the diagnostic returned — a
+  /// partially-applied snapshot can never leak into results.
   Result<SnapshotStats> load_snapshot(const std::string& path);
 
   /// Atomically writes the session's cache entries, device calibrations

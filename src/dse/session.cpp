@@ -756,7 +756,7 @@ Result<SnapshotSummary> verify_snapshot(const std::string& path) {
 
   // Decode every cache entry through a scratch cache — the exact walk a
   // warm start performs, so "verify passed" means "a load would succeed".
-  CostCache scratch(1);
+  CostCache scratch;
   binio::Decoder entries(reader.section(kSecEntries));
   auto count = scratch.load(entries);
   if (!count.ok()) return count.diag();

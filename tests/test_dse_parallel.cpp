@@ -1,7 +1,8 @@
 // Tests for the parallel batched DSE engine: deterministic merge (the
 // parallel sweep must be byte-identical to the sequential one), the
 // memoizing cost-model cache (including multi-threaded hammering of its
-// lock-free read path), and the Pareto-frontier archive.
+// sharded maps, with clear() and load() racing the lookups), and the
+// Pareto-frontier archive.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include "tytra/dse/session.hpp"
 #include "tytra/kernels/kernels.hpp"
 #include "tytra/kernels/lowerers.hpp"
+#include "tytra/support/binio.hpp"
 #include "tytra/support/rng.hpp"
 
 namespace {
@@ -316,7 +318,7 @@ TEST(DsePareto, NoValidEntriesMeansEmptyFrontier) {
 }
 
 // --------------------------------------------------------------------------
-// Lock-free read correctness under concurrency
+// Cache correctness under concurrency
 // --------------------------------------------------------------------------
 
 // format_report covers every user-visible field; the trailing
@@ -326,22 +328,17 @@ std::string stable_report(const cost::CostReport& r) {
   return text.substr(0, text.rfind("estimated in"));
 }
 
-TEST(DseCacheHammer, ConcurrentMixedHitsAndMissesReturnExactReports) {
-  // One shard on purpose: every design lands in the same open-addressed
-  // table, the entry count crosses the growth threshold mid-hammer, and
-  // all 8 workers read it lock-free while writers keep publishing.
-  CostCache cache(1);
-  ASSERT_EQ(cache.shard_count(), 1u);
+/// A design set wider than the cache's 16 shards, so every shard holds
+/// several entries: lane x nki SOR variants plus two other kernels,
+/// against two calibrations, each with its uncached report.
+struct Design {
+  std::shared_ptr<const dse::KeyedLowerer> lower;
+  frontend::Variant variant;
+  const cost::DeviceCostDb* db;
+  std::string expected;
+};
 
-  // A design set wide enough to force table growth (> 44 entries in the
-  // 64-slot initial table): lane x nki SOR variants plus two other
-  // kernels, against two calibrations.
-  struct Design {
-    std::shared_ptr<const dse::KeyedLowerer> lower;
-    frontend::Variant variant;
-    const cost::DeviceCostDb* db;
-    std::string expected;
-  };
+std::vector<Design> hammer_designs() {
   const auto lanes_variant = [](std::uint64_t n, std::uint32_t lanes) {
     const frontend::Variant base = frontend::baseline_variant(n);
     return lanes == 1 ? base
@@ -375,7 +372,14 @@ TEST(DseCacheHammer, ConcurrentMixedHitsAndMissesReturnExactReports) {
     d.expected =
         stable_report(cost::cost_design(d.lower->lower(d.variant), *d.db));
   }
+  return designs;
+}
 
+TEST(DseCacheHammer, ConcurrentMixedHitsAndMissesReturnExactReports) {
+  // 8 workers on one cache: the shards fill mid-hammer while other
+  // workers keep hitting them.
+  CostCache cache;
+  const std::vector<Design> designs = hammer_designs();
   constexpr int kThreads = 8;
   constexpr int kLookups = 2000;
   std::atomic<int> mismatches{0};
@@ -408,8 +412,58 @@ TEST(DseCacheHammer, ConcurrentMixedHitsAndMissesReturnExactReports) {
             static_cast<std::uint64_t>(kThreads) * designs.size());
 }
 
+TEST(DseCacheHammer, ClearAndLoadDuringLookupsReturnExactReports) {
+  // clear() and load() lock one shard at a time, so they may race cost():
+  // a lookup either finds a whole entry or misses and recomputes it.
+  const std::vector<Design> designs = hammer_designs();
+  std::string dumped;
+  {
+    CostCache warm;
+    for (const Design& d : designs) (void)warm.cost(d.variant, *d.lower, *d.db);
+    binio::Encoder out;
+    warm.dump(out);
+    dumped = out.take();
+  }
+
+  CostCache cache;
+  constexpr int kThreads = 8;
+  constexpr int kLookups = 1000;
+  std::atomic<int> mismatches{0};
+  std::atomic<int> failed_loads{0};
+  std::atomic<bool> done{false};
+  std::thread churn([&] {
+    do {
+      cache.clear();
+      binio::Decoder in(dumped);
+      if (!cache.load(in).ok()) failed_loads.fetch_add(1);
+    } while (!done.load(std::memory_order_relaxed));
+  });
+  std::vector<std::thread> pool;
+  pool.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      tytra::SplitMix64 rng(0xA000 + static_cast<std::uint64_t>(t));
+      for (int i = 0; i < kLookups; ++i) {
+        const auto& d = designs[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(designs.size()) - 1))];
+        const cost::CostReport got = cache.cost(d.variant, *d.lower, *d.db);
+        if (stable_report(got) != d.expected) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& th : pool) th.join();
+  done.store(true, std::memory_order_relaxed);
+  churn.join();
+
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(failed_loads.load(), 0);
+  EXPECT_LE(cache.size(), designs.size());
+}
+
 TEST(DseCacheHammer, ConcurrentVariantKeyLookupsReturnExactReports) {
-  CostCache cache(2);
+  CostCache cache;
   const dse::KeyedLowerer sor = [] {
     kernels::SorConfig cfg;
     cfg.im = cfg.jm = cfg.km = kDim;

@@ -3,7 +3,7 @@
 // are atomic), exact round-trips of cost reports, calibrated databases and
 // the variant-keyed cost cache, and the Session snapshot path — warm starts
 // byte-identical to cold runs, every failure mode degrading to a cold
-// start, and the debug-build quiescence guard on CostCache::clear().
+// start, and CostCache::clear() from inside a cost() call.
 
 #include <gtest/gtest.h>
 #include <sys/stat.h>
@@ -540,6 +540,53 @@ TEST(SnapshotCache, CorruptDumpFailsLoadWithoutCrashing) {
   }
 }
 
+TEST(SnapshotCache, DumpBytesDependOnlyOnTheSetOfKeys) {
+  // Enough entries that every one of the 16 shards holds several.
+  dse::CostCache first;
+  for (const std::string& preset : target::preset_names()) {
+    for (const char* workload : {"sor", "hotspot", "lavamd"}) {
+      for (const std::uint32_t nd : {16u, 24u, 32u}) {
+        dse::Job job = registry_job(workload, nd);
+        for (const auto& v : frontend::enumerate_variants(job.n, 16)) {
+          (void)first.cost(v, *job.lower, preset_db(preset));
+        }
+      }
+    }
+  }
+  ASSERT_GT(first.size(), 128u);
+  binio::Encoder dumped;
+  first.dump(dumped);
+
+  // Decode every entry, then load them in reverse order.
+  struct Entry {
+    std::uint64_t key, check;
+    cost::CostReport report;
+  };
+  std::vector<Entry> entries;
+  binio::Decoder in(dumped.bytes());
+  while (in.ok() && in.remaining() > 0) {
+    Entry e{in.u64(), in.u64(), {}};
+    e.report = cost::load_report(in);
+    entries.push_back(std::move(e));
+  }
+  ASSERT_TRUE(in.ok()) << in.error();
+  ASSERT_EQ(entries.size(), first.size());
+  binio::Encoder reversed;
+  for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
+    reversed.u64(it->key);
+    reversed.u64(it->check);
+    cost::save_report(reversed, it->report);
+  }
+  dse::CostCache second;
+  binio::Decoder reload(reversed.bytes());
+  ASSERT_TRUE(second.load(reload).ok());
+
+  binio::Encoder redumped;
+  second.dump(redumped);
+  EXPECT_TRUE(redumped.bytes() == dumped.bytes())
+      << "dump order depends on insertion order";
+}
+
 TEST(SnapshotCache, AnEntryIsItsKeyAndItsReport) {
   // (key, check, report): two words and the report, nothing else.
   const auto& db = preset_db("stratix-v-gsd8");
@@ -951,26 +998,23 @@ TEST(SnapshotRewrite, SaveFailpointFiresBeforeTheSkip) {
 }
 
 // ---------------------------------------------------------------------------
-// clear() quiescence enforcement (debug builds)
+// clear() during cost()
 // ---------------------------------------------------------------------------
 
-#ifndef NDEBUG
-
-/// A lowerer that re-enters the cache with clear() from inside lower() —
-/// a deterministic stand-in for the clear-vs-concurrent-reader race the
-/// quiescence contract forbids.
+/// A lowerer that re-enters the cache with clear() from inside lower():
+/// a deterministic stand-in for clear() racing a lookup in flight.
 class ReentrantClearLowerer final : public dse::Lowerer {
  public:
   ReentrantClearLowerer(dse::CostCache* cache, std::shared_ptr<const dse::Lowerer> inner)
       : cache_(cache), inner_(std::move(inner)) {}
 
   [[nodiscard]] std::optional<dse::VariantKey> key(
-      const frontend::Variant&) const override {
-    return std::nullopt;
+      const frontend::Variant& v) const override {
+    return inner_->key(v);
   }
   [[nodiscard]] ir::Module lower(const frontend::Variant& v,
                                  ir::BuildArena* arena) const override {
-    cache_->clear();  // boom: a cost() call is in flight on this thread
+    cache_->clear();  // a cost() call is in flight on this thread
     return inner_->lower(v, arena);
   }
 
@@ -979,17 +1023,23 @@ class ReentrantClearLowerer final : public dse::Lowerer {
   std::shared_ptr<const dse::Lowerer> inner_;
 };
 
-TEST(CacheQuiescence, ClearDuringCostAbortsWithDiagnostic) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+TEST(CacheClear, ClearDuringCostReturnsTheExactReport) {
   const auto& db = preset_db("stratix-v-gsd8");
   dse::Job job = registry_job("sor", 8);
+  const frontend::Variant v = frontend::baseline_variant(job.n);
   dse::CostCache cache;
   const ReentrantClearLowerer reentrant(&cache, job.lower);
-  EXPECT_DEATH(
-      (void)cache.cost(frontend::baseline_variant(job.n), reentrant, db),
-      "requires quiescence");
+  bool was_hit = true;
+  const cost::CostReport got = cache.cost(v, reentrant, db, &was_hit);
+  EXPECT_FALSE(was_hit);
+  const std::string a = cost::format_report(got);
+  const std::string b =
+      cost::format_report(cost::cost_design(job.lower->lower(v), db));
+  EXPECT_EQ(a.substr(0, a.rfind("estimated in")),
+            b.substr(0, b.rfind("estimated in")));
+  EXPECT_EQ(cache.size(), 1u);
+  (void)cache.cost(v, reentrant, db, &was_hit);
+  EXPECT_TRUE(was_hit) << "the entry inserted after clear() did not hit";
 }
-
-#endif  // !NDEBUG
 
 }  // namespace

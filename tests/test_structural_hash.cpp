@@ -302,22 +302,18 @@ TEST(StructuralHash, CacheHitReportEqualsDirectCostReport) {
             b.substr(0, b.rfind("estimated in")));
 }
 
-TEST(StructuralHash, ConfigurableShardCountServesAllLookups) {
+TEST(StructuralHash, DefaultCacheServesAllLookups) {
   const auto db = cost::DeviceCostDb::calibrate(target::stratix_v_gsd8());
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{3},
-                                   std::size_t{64}}) {
-    dse::CostCache cache(shards);
-    EXPECT_EQ(cache.shard_count(), shards);
-    const dse::KeyedLowerer lower = sor_keyed();
-    for (int pass = 0; pass < 2; ++pass) {
-      for (const std::uint32_t lanes : {1u, 2u, 4u}) {
-        cache.cost(lanes_variant(24 * 24 * 24, lanes), lower, db);
-      }
+  dse::CostCache cache;
+  const dse::KeyedLowerer lower = sor_keyed();
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const std::uint32_t lanes : {1u, 2u, 4u}) {
+      cache.cost(lanes_variant(24 * 24 * 24, lanes), lower, db);
     }
-    EXPECT_EQ(cache.size(), 3u);
-    EXPECT_EQ(cache.stats().hits, 3u);
-    EXPECT_EQ(cache.stats().misses, 3u);
   }
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_EQ(cache.stats().hits, 3u);
+  EXPECT_EQ(cache.stats().misses, 3u);
 }
 
 // --------------------------------------------------------------------------
