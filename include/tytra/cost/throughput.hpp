@@ -72,9 +72,4 @@ EkitInputs resolve_inputs(const ir::Module& module, const DeviceCostDb& db);
 EkitInputs resolve_inputs(const ir::Module& module, const DeviceCostDb& db,
                           const ir::AnalysisSummary& summary);
 
-/// Canonical 64-bit key of a fully-resolved input set: two variants with
-/// the same key produce the same EKIT estimate, so memoizing layers (the
-/// DSE cost cache) can index evaluations by it.
-std::uint64_t input_key(const EkitInputs& in);
-
 }  // namespace tytra::cost

@@ -23,9 +23,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 
 #include "tytra/cost/report.hpp"
 #include "tytra/dse/lowerer.hpp"
+#include "tytra/ir/analysis.hpp"
 #include "tytra/support/binio.hpp"
 #include "tytra/target/device.hpp"
 
@@ -47,6 +49,15 @@ struct CacheStats {
 /// value reachable from a bare DeviceDesc.
 using cost::device_fingerprint;
 
+/// One design's lowering, shared by the misses of that design on several
+/// databases: the first miss that lowers fills it, and each later miss
+/// costs the same module and summary on its own database instead of
+/// lowering again. A lowering that throws leaves it empty.
+struct SharedLowering {
+  std::optional<ir::Module> module;
+  ir::AnalysisSummary summary;
+};
+
 /// Thread-safe memoization of cost::cost_design, keyed by variant.
 class CostCache {
  public:
@@ -63,8 +74,17 @@ class CostCache {
   /// a hit is a shard lock and a map lookup. When `was_hit` is non-null
   /// it receives this lookup's outcome (for per-sweep accounting
   /// independent of the global counters).
+  ///
+  /// A caller costing one design on several databases passes the same
+  /// `shared` to each lookup, in order: the first miss lowers and
+  /// summarizes once, and every later miss reuses that module and summary
+  /// through cost::cost_design(module, db, summary). The caller owns
+  /// `shared` and must not use it from two threads at once. Only a caller
+  /// whose lowerers give the lookups equal variant keys may share one
+  /// (equal keys mean equal designs). Hits never read it.
   cost::CostReport cost(const frontend::Variant& variant, const Lowerer& lowerer,
-                        const cost::DeviceCostDb& db, bool* was_hit = nullptr);
+                        const cost::DeviceCostDb& db, bool* was_hit = nullptr,
+                        SharedLowering* shared = nullptr);
 
   [[nodiscard]] CacheStats stats() const;
   /// Number of memoized designs.

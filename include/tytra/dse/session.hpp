@@ -267,15 +267,17 @@ class Session {
   /// session pool, in two waves — first every distinct design (dedup by
   /// variant key + database, so a design repeated across jobs is
   /// evaluated once), then the repeats, which resolve at the variant-key
-  /// level against the now-warm cache. Per-job merge, best, Pareto and
-  /// cache stats are computed in enumeration order, so campaign output
-  /// (text and JSON, wall times aside) is byte-identical across thread
-  /// counts and to running the jobs one by one. Key-less FnLowerer jobs
-  /// never hit, so their stats are all misses at any thread count.
-  /// Repeats that the dedup cannot see — the same variant key under
-  /// distinct Job::db copies calibrated from one device — still hit,
-  /// but which copy's job counts the miss may vary across thread counts;
-  /// the reports, entries, best and frontiers are exact either way.
+  /// level against the now-warm cache. Wave 1 groups one design's
+  /// evaluations on different databases: one worker runs the group in
+  /// task order and lowers the design once for all of its misses. Per-job
+  /// merge, best, Pareto and cache stats are computed in enumeration
+  /// order, so campaign output (text and JSON, wall times aside) is
+  /// byte-identical across thread counts and to running the jobs one by
+  /// one. Key-less FnLowerer jobs never hit, so their stats are all
+  /// misses at any thread count. The same variant key under distinct
+  /// Job::db copies calibrated from one device lands in one group, so
+  /// the earlier job counts the miss and the later one the hit, as job
+  /// by job.
   ///
   /// Failure domains are per job: an evaluation that throws (or a job
   /// whose deadline elapses) marks *that job* Failed/TimedOut in its
@@ -287,7 +289,12 @@ class Session {
   /// failed evaluation was the wave-1 representative of a design
   /// repeated in another job, the repeat re-evaluates cold — its results
   /// are unchanged, but its hit/miss stats can differ from the
-  /// fault-free run.
+  /// fault-free run. Groups share only a lowering that succeeded: when
+  /// a member's lowering throws (or its job is already dead), the next
+  /// member lowers the design itself, and a lowering that throws again
+  /// fails that member's job with its own error. Likewise, a member
+  /// whose equal-fingerprint predecessor failed misses where the
+  /// fault-free run would have hit.
   CampaignResult run(const Campaign& campaign);
 
   /// The session cache (null when SessionOptions::enable_cache is false).

@@ -2,31 +2,7 @@
 
 #include <algorithm>
 
-#include "tytra/support/hash.hpp"
-
 namespace tytra::cost {
-
-std::uint64_t input_key(const EkitInputs& in) {
-  const ir::DesignParams& d = in.design;
-  return HashBuilder{}
-      .u64(d.ngs)
-      .f64(d.nwpt)
-      .u64(d.nki)
-      .u64(d.noff)
-      .i64(d.kpd)
-      .f64(d.fd)
-      .f64(d.nto)
-      .f64(d.ni)
-      .u64(d.knl)
-      .u64(d.dv)
-      .u64(static_cast<std::uint64_t>(d.form))
-      .f64(in.hpb)
-      .f64(in.rho_h)
-      .f64(in.gpb)
-      .f64(in.rho_g)
-      .f64(in.word_bytes)
-      .value();
-}
 
 std::string_view wall_name(Wall wall) {
   switch (wall) {

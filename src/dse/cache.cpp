@@ -3,6 +3,7 @@
 #include <array>
 #include <atomic>
 #include <map>
+#include <utility>
 
 #include "tytra/support/failpoint.hpp"
 #include "tytra/support/hash.hpp"
@@ -37,7 +38,8 @@ CostCache::~CostCache() = default;
 
 cost::CostReport CostCache::cost(const frontend::Variant& variant,
                                  const Lowerer& lowerer,
-                                 const cost::DeviceCostDb& db, bool* was_hit) {
+                                 const cost::DeviceCostDb& db, bool* was_hit,
+                                 SharedLowering* shared) {
   const std::optional<VariantKey> vk = lowerer.key(variant);
   VariantKey full{};
   if (vk) {
@@ -59,7 +61,17 @@ cost::CostReport CostCache::cost(const frontend::Variant& variant,
   if (was_hit) *was_hit = false;
   // Cost outside the lock: the model run dominates, and concurrent misses
   // on the same key merely compute the same report twice.
-  cost::CostReport report = cost::cost_design(lowerer.lower(variant), db);
+  cost::CostReport report;
+  if (shared == nullptr) {
+    report = cost::cost_design(lowerer.lower(variant), db);
+  } else {
+    if (!shared->module) {
+      ir::Module module = lowerer.lower(variant);
+      shared->summary = ir::summarize(module);
+      shared->module = std::move(module);
+    }
+    report = cost::cost_design(*shared->module, db, shared->summary);
+  }
   // A key-less lowerer names no design, so there is nothing to insert. A
   // failed insert (the `cache.insert` failpoint stands in for allocation
   // failure) degrades to a lost memoization, never a lost or torn result:

@@ -106,91 +106,128 @@ struct EvalContext {
 };
 
 /// One variant's report: through the cache when there is one (recording
-/// whether it hit in `hit`), else lowered and costed directly.
+/// whether it hit in `hit`, and sharing a lowering through `shared`),
+/// else lowered and costed directly.
 cost::CostReport cost_variant(const frontend::Variant& variant,
                               const Lowerer& lower,
                               const cost::DeviceCostDb& db, CostCache* cache,
-                              bool* hit = nullptr) {
-  if (cache) return cache->cost(variant, lower, db, hit);
+                              bool* hit = nullptr,
+                              SharedLowering* shared = nullptr) {
+  if (cache) return cache->cost(variant, lower, db, hit, shared);
   return cost::cost_design(lower.lower(variant), db);
 }
 
-/// Drains `tasks` into per-task slots. The work-queue is a single atomic
-/// cursor; slots are disjoint, so workers never contend on results, and
-/// merging slots in enumeration order is deterministic no matter the
-/// interleaving. hits[slot] records whether the cache answered (stays 0
-/// when uncached); the per-batch accounting is aggregated from it
-/// afterwards, deterministically, instead of from racing shared counters.
+/// One wave of evaluation work: its tasks in claim order, cut into groups
+/// that a worker claims whole. Group g is tasks[bounds[g], bounds[g + 1]).
+/// A group of several tasks is one design on several databases, so its
+/// members share one lowering; every other group is a single task.
+struct Wave {
+  std::vector<EvalTask> tasks;
+  std::vector<std::size_t> bounds{0};
+
+  void add_single(const EvalTask& t) {
+    tasks.push_back(t);
+    bounds.push_back(tasks.size());
+  }
+  [[nodiscard]] std::size_t groups() const { return bounds.size() - 1; }
+};
+
+/// Drains `wave` into per-task slots. The work-queue is a single atomic
+/// cursor over the wave's groups; slots are disjoint, so workers never
+/// contend on results, and merging slots in enumeration order is
+/// deterministic no matter the interleaving. A worker runs a group's
+/// members in task order, so they probe the cache in that order; the
+/// first miss lowers and later misses reuse its lowering. hits[slot]
+/// records whether the cache answered (stays 0 when uncached); the
+/// per-batch accounting is aggregated from it afterwards,
+/// deterministically, instead of from racing shared counters.
 ///
 /// Failure containment is per job, not per batch: a throwing evaluation
 /// (including the `dse.pool-task` failpoint) records the job's first
 /// error in ctx and kills only that job's remaining tasks; every other
-/// job keeps evaluating. A flipped CancelToken jumps the cursor past the
-/// end — in-flight evaluations finish (their slots stay valid), nothing
-/// new starts. This function itself never throws engine errors; callers
-/// read ctx.records and decide (explore rethrows, run() degrades).
-void evaluate_tasks(const std::vector<EvalTask>& tasks, CostCache* cache,
-                    ThreadPool* pool, std::uint32_t participants,
+/// job keeps evaluating. Each group member passes the same per-task
+/// checks, and a lowering that throws is not shared, so the next member
+/// lowers again and records its own fault. A flipped CancelToken jumps
+/// the cursor past the end — in-flight evaluations finish (their slots
+/// stay valid), nothing new starts. This function itself never throws
+/// engine errors; callers read ctx.records and decide (explore rethrows,
+/// run() degrades).
+void evaluate_tasks(const Wave& wave, CostCache* cache, ThreadPool* pool,
+                    std::uint32_t participants,
                     std::vector<std::optional<cost::CostReport>>& slots,
                     std::vector<std::uint8_t>& hits, EvalContext& ctx) {
   std::atomic<std::size_t> cursor{0};
+  const std::size_t groups = wave.groups();
 
-  auto worker = [&](std::uint32_t) {
-    for (;;) {
-      if (ctx.cancel != nullptr && ctx.cancel->cancelled()) {
-        // Unfinished jobs are marked Cancelled by finalize_status once
-        // the batch drains.
-        cursor.store(tasks.size(), std::memory_order_relaxed);
+  const auto evaluate_one = [&](const EvalTask& t, SharedLowering* shared) {
+    if (ctx.dead[t.job].load(std::memory_order_relaxed)) return;
+    if (ctx.any_job_cancel) {
+      const CancelToken* jc = ctx.job_cancel[t.job];
+      if (jc != nullptr && jc->cancelled()) {
+        // Idempotent store, no record: finalize_status derives the
+        // Cancelled state from the fault-free-but-incomplete slots.
+        ctx.dead[t.job].store(true, std::memory_order_relaxed);
         return;
       }
-      const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (i >= tasks.size()) return;
-      const EvalTask& t = tasks[i];
-      if (ctx.dead[t.job].load(std::memory_order_relaxed)) continue;
-      if (ctx.any_job_cancel) {
-        const CancelToken* jc = ctx.job_cancel[t.job];
-        if (jc != nullptr && jc->cancelled()) {
-          // Idempotent store, no record: finalize_status derives the
-          // Cancelled state from the fault-free-but-incomplete slots.
-          ctx.dead[t.job].store(true, std::memory_order_relaxed);
-          continue;
+    }
+    if (ctx.any_deadline) {
+      const double budget = ctx.deadline[t.job];
+      if (budget > 0 && seconds_since(ctx.t0) >= budget) {
+        if (!ctx.dead[t.job].exchange(true, std::memory_order_relaxed)) {
+          std::lock_guard<std::mutex> lock(ctx.mu);
+          FaultRecord& r = ctx.records[t.job];
+          r.state = JobState::TimedOut;
+          r.message = "deadline exceeded (budget " +
+                      tytra::format_general(budget, 6) + " s)";
+        }
+        return;
+      }
+    }
+    try {
+      failpoint::maybe_throw("dse.pool-task");
+      bool hit = false;
+      slots[t.slot] =
+          cost_variant(*t.variant, *t.lower, *t.db, cache, &hit, shared);
+      hits[t.slot] = hit;
+    } catch (...) {
+      const bool first =
+          !ctx.dead[t.job].exchange(true, std::memory_order_relaxed);
+      std::lock_guard<std::mutex> lock(ctx.mu);
+      FaultRecord& r = ctx.records[t.job];
+      ++r.faults;
+      if (first) {
+        r.state = JobState::Failed;
+        r.error = std::current_exception();
+        try {
+          throw;
+        } catch (const std::exception& e) {
+          r.message = e.what();
+        } catch (...) {
+          r.message = "unknown exception";
         }
       }
-      if (ctx.any_deadline) {
-        const double budget = ctx.deadline[t.job];
-        if (budget > 0 && seconds_since(ctx.t0) >= budget) {
-          if (!ctx.dead[t.job].exchange(true, std::memory_order_relaxed)) {
-            std::lock_guard<std::mutex> lock(ctx.mu);
-            FaultRecord& r = ctx.records[t.job];
-            r.state = JobState::TimedOut;
-            r.message = "deadline exceeded (budget " +
-                        tytra::format_general(budget, 6) + " s)";
-          }
-          continue;
-        }
-      }
-      try {
-        failpoint::maybe_throw("dse.pool-task");
-        bool hit = false;
-        slots[t.slot] = cost_variant(*t.variant, *t.lower, *t.db, cache, &hit);
-        hits[t.slot] = hit;
-      } catch (...) {
-        const bool first =
-            !ctx.dead[t.job].exchange(true, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lock(ctx.mu);
-        FaultRecord& r = ctx.records[t.job];
-        ++r.faults;
-        if (first) {
-          r.state = JobState::Failed;
-          r.error = std::current_exception();
-          try {
-            throw;
-          } catch (const std::exception& e) {
-            r.message = e.what();
-          } catch (...) {
-            r.message = "unknown exception";
-          }
-        }
+    }
+  };
+
+  auto worker = [&](std::uint32_t) {
+    const auto cancelled = [&] {
+      if (ctx.cancel == nullptr || !ctx.cancel->cancelled()) return false;
+      // Unfinished jobs are marked Cancelled by finalize_status once the
+      // batch drains.
+      cursor.store(groups, std::memory_order_relaxed);
+      return true;
+    };
+    for (;;) {
+      if (cancelled()) return;
+      const std::size_t g = cursor.fetch_add(1, std::memory_order_relaxed);
+      if (g >= groups) return;
+      const std::size_t begin = wave.bounds[g];
+      const std::size_t end = wave.bounds[g + 1];
+      SharedLowering lowering;
+      SharedLowering* shared = end - begin > 1 ? &lowering : nullptr;
+      for (std::size_t i = begin; i < end; ++i) {
+        if (i > begin && cancelled()) return;
+        evaluate_one(wave.tasks[i], shared);
       }
     }
   };
@@ -858,38 +895,68 @@ Session::Batch Session::evaluate(std::span<const Job> jobs) {
   // variants, drained by the shared pool, so a campaign of many small
   // jobs keeps every worker busy instead of parallelizing each job
   // alone. Evaluation runs in two waves. Wave 1 covers every *distinct*
-  // design — a design repeated across jobs (same database, same variant
-  // key) is evaluated once, by the first job that enumerates it. Wave 2
-  // runs the repeats after the wave-1 barrier, so each hits by variant
-  // key in the now-warm cache — exactly the hits the
+  // evaluation — a design repeated across jobs (same database, same
+  // variant key) is evaluated once, by the first job that enumerates it.
+  // Wave 2 runs the repeats after the wave-1 barrier, so each hits by
+  // variant key in the now-warm cache — exactly the hits the
   // old job-after-job loop produced, which keeps per-job cache stats
   // (and therefore campaign text output) byte-identical across thread
-  // counts. Key-less lowerers cannot be deduplicated (nor memoized) and
-  // stay in wave 1, as does every variant of a one-job batch (a sweep
-  // enumerates distinct lane counts).
+  // counts. Wave 1 groups one design's evaluations on different
+  // databases (equal variant key, so equal design), in order of first
+  // appearance: one worker runs a group in task order and lowers the
+  // design once for all of them. Every cache interaction inside wave 1
+  // is between tasks of one key, so one group, so the hit flags are the
+  // job-by-job ones at any thread count. Key-less lowerers cannot be
+  // deduplicated, grouped or memoized and stay single in wave 1, as does
+  // every variant of a one-job batch (a sweep enumerates distinct lane
+  // counts).
   std::vector<std::optional<cost::CostReport>> slots(total);
   std::vector<std::uint8_t> hits(total, 0);
-  std::vector<EvalTask> wave1;
-  wave1.reserve(total);
-  std::vector<EvalTask> wave2;
+  std::vector<EvalTask> distinct;  // wave 1 in task order
+  distinct.reserve(total);
+  std::vector<std::size_t> group_of;  // per distinct task
+  group_of.reserve(total);
+  std::size_t group_count = 0;
+  std::map<VariantKey, std::size_t> group_by_key;
+  Wave wave2;
   std::set<std::tuple<const cost::DeviceCostDb*, std::uint64_t, std::uint64_t>>
       seen;
   for (std::size_t j = 0; j < variants.size(); ++j) {
     for (std::size_t i = 0; i < variants[j].size(); ++i) {
       const EvalTask task{&variants[j][i], resolved[j].lower, resolved[j].db,
                           offset[j] + i, j};
-      bool repeat = false;
+      std::size_t group = group_count;
       if (cache && jobs.size() > 1) {
         if (const auto vk = resolved[j].lower->key(variants[j][i])) {
           // Jobs naming the same device-table entry share a DeviceCostDb
           // address, so (database, variant key) identifies the design; a
           // caller-supplied Job::db that merely equals another database
-          // is conservatively treated as distinct.
-          repeat = !seen.insert({resolved[j].db, vk->key, vk->check}).second;
+          // is treated as distinct, and its group's task order makes the
+          // later one hit.
+          if (!seen.insert({resolved[j].db, vk->key, vk->check}).second) {
+            wave2.add_single(task);
+            continue;
+          }
+          group = group_by_key.try_emplace(*vk, group_count).first->second;
         }
       }
-      (repeat ? wave2 : wave1).push_back(task);
+      if (group == group_count) ++group_count;
+      distinct.push_back(task);
+      group_of.push_back(group);
     }
+  }
+  // Counting sort of the distinct tasks by group: groups in order of
+  // first appearance, each group's members in task order.
+  Wave wave1;
+  wave1.bounds.assign(group_count + 1, 0);
+  for (const std::size_t g : group_of) ++wave1.bounds[g + 1];
+  for (std::size_t g = 0; g < group_count; ++g) {
+    wave1.bounds[g + 1] += wave1.bounds[g];
+  }
+  wave1.tasks.resize(distinct.size());
+  std::vector<std::size_t> fill(wave1.bounds.begin(), wave1.bounds.end() - 1);
+  for (std::size_t k = 0; k < distinct.size(); ++k) {
+    wave1.tasks[fill[group_of[k]]++] = distinct[k];
   }
   EvalContext ctx(jobs.size(), options_.cancel, batch.t0);
   for (std::size_t j = 0; j < jobs.size(); ++j) {
@@ -898,11 +965,11 @@ Session::Batch Session::evaluate(std::span<const Job> jobs) {
     ctx.job_cancel[j] = jobs[j].cancel;
     if (ctx.job_cancel[j] != nullptr) ctx.any_job_cancel = true;
   }
-  for (const std::vector<EvalTask>* wave : {&wave1, &wave2}) {
-    if (wave->empty()) continue;
+  for (const Wave* wave : {&wave1, &wave2}) {
+    if (wave->groups() == 0) continue;
     if (options_.cancel != nullptr && options_.cancel->cancelled()) break;
     const std::uint32_t participants =
-        resolve_threads(options_.num_threads, wave->size());
+        resolve_threads(options_.num_threads, wave->groups());
     evaluate_tasks(*wave, cache, pool_for(participants), participants, slots,
                    hits, ctx);
   }

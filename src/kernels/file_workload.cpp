@@ -3,7 +3,6 @@
 #include <cctype>
 #include <cstdio>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -13,7 +12,6 @@
 #include "tytra/ir/parser.hpp"
 #include "tytra/ir/structural_hash.hpp"
 #include "tytra/ir/verifier.hpp"
-#include "tytra/kernels/streams.hpp"
 #include "tytra/support/failpoint.hpp"
 #include "tytra/support/thread_annotations.hpp"
 
@@ -171,42 +169,85 @@ ir::Module replicate_lanes(const ir::Module& baseline, std::uint32_t lanes) {
     }
   }
 
+  // The per-port plan, resolved once for every lane: each port's stream
+  // and memory object, and whether this port is the first to reference
+  // each. Objects shared by several ports replicate once per lane, at
+  // first reference. find_* answers the first object of a name, so one
+  // flag per object index is one flag per name.
+  struct PortPlan {
+    const ir::StreamObject* so{nullptr};
+    const ir::MemObject* mo{nullptr};
+    bool first_stream{false};
+    bool first_mem{false};
+  };
+  std::vector<PortPlan> plan(baseline.ports.size());
+  {
+    std::vector<bool> stream_seen(baseline.streamobjs.size(), false);
+    std::vector<bool> mem_seen(baseline.memobjs.size(), false);
+    for (std::size_t i = 0; i < plan.size(); ++i) {
+      const ir::PortBinding& port = baseline.ports[i];
+      PortPlan& p = plan[i];
+      if (!port.streamobj.empty()) {
+        p.so = baseline.find_streamobj(port.streamobj);
+      }
+      if (p.so != nullptr) {
+        p.mo = baseline.find_memobj(p.so->memobj);
+        const auto s =
+            static_cast<std::size_t>(p.so - baseline.streamobjs.data());
+        p.first_stream = !stream_seen[s];
+        stream_seen[s] = true;
+      }
+      if (p.mo != nullptr) {
+        const auto m =
+            static_cast<std::size_t>(p.mo - baseline.memobjs.data());
+        p.first_mem = !mem_seen[m];
+        mem_seen[m] = true;
+      }
+    }
+  }
+  // Which @main call arguments name ports, flattened in call order.
+  std::vector<bool> port_arg;
+  for (const auto& item : main_fn->body) {
+    for (const auto& arg : std::get<ir::Call>(item).args) {
+      port_arg.push_back(arg.kind == ir::Operand::Kind::Global &&
+                         baseline.find_port(arg.name) != nullptr);
+    }
+  }
+  // Every lane name is a copy of its base name plus one append of the
+  // lane's suffix (lane_port_name's spelling, formatted once per lane).
+  std::vector<std::string> suffix(lanes);
+  for (std::uint32_t lane = 0; lane < lanes; ++lane) {
+    suffix[lane] = "_l" + std::to_string(lane);
+  }
+
   ir::Module out;
   out.name = baseline.name + "_x" + std::to_string(lanes);
   out.meta = baseline.meta;
 
   // Per-lane Manage-IR, in port order — the layout ModuleBuilder-based
-  // kernels produce when built at `lanes` directly. Objects shared by
-  // several ports replicate once per lane, at first reference.
+  // kernels produce when built at `lanes` directly.
   out.memobjs.reserve(baseline.ports.size() * lanes);
   out.streamobjs.reserve(baseline.ports.size() * lanes);
   out.ports.reserve(baseline.ports.size() * lanes);
   for (std::uint32_t lane = 0; lane < lanes; ++lane) {
-    std::set<std::string> seen_mem, seen_stream;
-    for (const auto& port : baseline.ports) {
-      const ir::StreamObject* so =
-          port.streamobj.empty() ? nullptr
-                                 : baseline.find_streamobj(port.streamobj);
-      const ir::MemObject* mo =
-          so == nullptr ? nullptr : baseline.find_memobj(so->memobj);
-      if (mo != nullptr && seen_mem.insert(mo->name).second) {
-        ir::MemObject m = *mo;
-        m.name = lane_port_name(mo->name, lane);
-        m.size_words = mo->size_words % lanes == 0
-                           ? mo->size_words / lanes
-                           : mo->size_words / lanes + 1;
-        out.memobjs.push_back(std::move(m));
+    const std::string& sfx = suffix[lane];
+    for (std::size_t i = 0; i < plan.size(); ++i) {
+      const PortPlan& p = plan[i];
+      if (p.first_mem) {
+        ir::MemObject& m = out.memobjs.emplace_back(*p.mo);
+        m.name += sfx;
+        m.size_words = p.mo->size_words % lanes == 0
+                           ? p.mo->size_words / lanes
+                           : p.mo->size_words / lanes + 1;
       }
-      if (so != nullptr && seen_stream.insert(so->name).second) {
-        ir::StreamObject s = *so;
-        s.name = lane_port_name(so->name, lane);
-        if (mo != nullptr) s.memobj = lane_port_name(so->memobj, lane);
-        out.streamobjs.push_back(std::move(s));
+      if (p.first_stream) {
+        ir::StreamObject& s = out.streamobjs.emplace_back(*p.so);
+        s.name += sfx;
+        if (p.mo != nullptr) s.memobj += sfx;
       }
-      ir::PortBinding p = port;
-      p.name = lane_port_name(port.name, lane);
-      if (so != nullptr) p.streamobj = lane_port_name(port.streamobj, lane);
-      out.ports.push_back(std::move(p));
+      ir::PortBinding& port = out.ports.emplace_back(baseline.ports[i]);
+      port.name += sfx;
+      if (p.so != nullptr) port.streamobj += sfx;
     }
   }
 
@@ -224,15 +265,13 @@ ir::Module replicate_lanes(const ir::Module& baseline, std::uint32_t lanes) {
   par.kind = ir::FuncKind::Par;
   par.body.reserve(main_fn->body.size() * lanes);
   for (std::uint32_t lane = 0; lane < lanes; ++lane) {
+    std::size_t a = 0;
     for (const auto& item : main_fn->body) {
       ir::Call call = std::get<ir::Call>(item);
       for (auto& arg : call.args) {
-        if (arg.kind == ir::Operand::Kind::Global &&
-            baseline.find_port(arg.name) != nullptr) {
-          arg.name = lane_port_name(arg.name, lane);
-        }
+        if (port_arg[a++]) arg.name += suffix[lane];
       }
-      par.body.push_back(std::move(call));
+      par.body.emplace_back(std::move(call));
     }
   }
   out.functions.push_back(std::move(par));

@@ -1,14 +1,19 @@
 // Tests for the parallel batched DSE engine: deterministic merge (the
 // parallel sweep must be byte-identical to the sequential one), the
 // memoizing cost-model cache (including multi-threaded hammering of its
-// sharded maps, with clear() and load() racing the lookups), and the
-// Pareto-frontier archive.
+// sharded maps, with clear() and load() racing the lookups), a campaign's
+// one lowering per design across devices, and the Pareto-frontier
+// archive.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
+#include <regex>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "tytra/dse/cache.hpp"
 #include "tytra/dse/session.hpp"
@@ -208,6 +213,209 @@ TEST(DseCache, ClearResetsEverything) {
   EXPECT_EQ(cache.stats().lookups(), 0u);
   const auto r = session.explore(keyed_sor_job(fig15_db()));
   EXPECT_EQ(r.cache_stats.misses, r.entries.size());
+}
+
+// --------------------------------------------------------------------------
+// One lowering per design across devices (campaign wave-1 groups)
+// --------------------------------------------------------------------------
+
+const cost::DeviceCostDb& v7_db() {
+  static const auto db = cost::DeviceCostDb::calibrate(target::virtex7_690t());
+  return db;
+}
+
+/// Keyed SOR that counts its lowerings and throws for one lane count
+/// (0: never).
+class CountingLowerer final : public dse::Lowerer {
+ public:
+  explicit CountingLowerer(std::uint32_t nki, std::uint32_t fail_lanes = 0)
+      : inner_(kernels::sor_lowerer([nki] {
+          kernels::SorConfig cfg;
+          cfg.im = cfg.jm = cfg.km = kDim;
+          cfg.nki = nki;
+          return cfg;
+        }())),
+        fail_lanes_(fail_lanes) {}
+
+  [[nodiscard]] std::optional<dse::VariantKey> key(
+      const frontend::Variant& v) const override {
+    return inner_.key(v);
+  }
+  [[nodiscard]] ir::Module lower(const frontend::Variant& v,
+                                 ir::BuildArena* = nullptr) const override {
+    calls_.fetch_add(1, std::memory_order_relaxed);
+    if (v.lanes() == fail_lanes_) {
+      throw std::runtime_error("cannot lower " + std::to_string(v.lanes()) +
+                               " lanes");
+    }
+    return inner_.lower(v);
+  }
+  [[nodiscard]] std::uint64_t calls() const {
+    return calls_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  dse::KeyedLowerer inner_;
+  std::uint32_t fail_lanes_;
+  mutable std::atomic<std::uint64_t> calls_{0};
+};
+
+dse::Job counted_job(std::shared_ptr<const dse::Lowerer> lower,
+                     const cost::DeviceCostDb& db) {
+  dse::Job job;
+  job.workload = "sor";
+  job.n = kDim * kDim * kDim;
+  job.lower = std::move(lower);
+  job.db = &db;
+  job.max_lanes = 16;
+  return job;
+}
+
+/// One workload on the three presets.
+dse::Campaign three_device_campaign(
+    const std::shared_ptr<const dse::Lowerer>& lower) {
+  dse::Campaign c;
+  for (const auto* db : {&fig15_db(), &sv_db(), &v7_db()}) {
+    c.jobs.push_back(counted_job(lower, *db));
+  }
+  return c;
+}
+
+std::string scrub_seconds(const std::string& json) {
+  static const std::regex seconds_re(
+      "(\"(?:explore_)?seconds\": )[-+0-9.eE]+");
+  return std::regex_replace(json, seconds_re, "$1#");
+}
+
+/// Everything a campaign renders, wall times aside.
+std::string rendered(const dse::CampaignResult& r) {
+  return dse::format_campaign(r) + dse::format_campaign_pareto(r) +
+         scrub_seconds(dse::format_campaign_json(r));
+}
+
+std::string stats_of(const dse::CacheStats& s) {
+  return std::to_string(s.hits) + "/" + std::to_string(s.misses) + "/" +
+         std::to_string(s.variant_hits);
+}
+
+/// The campaign run one job at a time on a cached 1-thread session, merged
+/// like a campaign.
+dse::CampaignResult job_by_job(const dse::Campaign& c) {
+  dse::Session session(threads(1, /*cache=*/true));
+  std::vector<dse::CampaignJobResult> jobs;
+  for (const dse::Job& job : c.jobs) {
+    dse::CampaignJobResult jr;
+    jr.job = job;
+    jr.result = session.explore(job);
+    jobs.push_back(std::move(jr));
+  }
+  return dse::merge_campaign(std::move(jobs));
+}
+
+TEST(DseGroupedLowering, OneLoweringPerDesignAtEveryThreadCount) {
+  const dse::Campaign reference_campaign =
+      three_device_campaign(std::make_shared<CountingLowerer>(10));
+  const dse::CampaignResult reference = job_by_job(reference_campaign);
+  const std::string expected = rendered(reference);
+
+  for (const std::uint32_t n : {1u, 2u, 8u}) {
+    const auto lower = std::make_shared<CountingLowerer>(10);
+    dse::Session session(threads(n, /*cache=*/true));
+    const dse::CampaignResult r = session.run(three_device_campaign(lower));
+    ASSERT_EQ(r.jobs.size(), 3u);
+    const std::size_t variants = r.jobs[0].result.entries.size();
+    EXPECT_EQ(variants, 9u);
+    // Each design lowers once for its three devices, and each device
+    // still misses once: the reports are per device.
+    EXPECT_EQ(lower->calls(), variants) << "threads=" << n;
+    EXPECT_EQ(session.cache()->stats().misses, 3 * variants);
+    EXPECT_EQ(rendered(r), expected) << "threads=" << n;
+    for (std::size_t j = 0; j < r.jobs.size(); ++j) {
+      EXPECT_EQ(stats_of(r.jobs[j].result.cache_stats),
+                stats_of(reference.jobs[j].result.cache_stats))
+          << "threads=" << n << " job " << j;
+      EXPECT_EQ(dse::format_sweep(r.jobs[j].result),
+                dse::format_sweep(reference.jobs[j].result))
+          << "threads=" << n << " job " << j;
+    }
+  }
+}
+
+TEST(DseGroupedLowering, ThrowingLoweringFailsEachSharingJobAlone) {
+  // Three jobs share a lowerer that cannot lower 4 lanes; two more jobs
+  // lower another design (nki 5) on two devices and must not notice.
+  const auto healthy_campaign = [](std::uint32_t fail_lanes,
+                                   std::shared_ptr<CountingLowerer>* failing) {
+    *failing = std::make_shared<CountingLowerer>(10, fail_lanes);
+    dse::Campaign c = three_device_campaign(*failing);
+    const auto other = std::make_shared<CountingLowerer>(5);
+    c.jobs.push_back(counted_job(other, fig15_db()));
+    c.jobs.push_back(counted_job(other, sv_db()));
+    return c;
+  };
+  std::shared_ptr<CountingLowerer> unused;
+  dse::Session clean_session(threads(1, /*cache=*/true));
+  const dse::CampaignResult clean =
+      clean_session.run(healthy_campaign(0, &unused));
+
+  for (const std::uint32_t n : {1u, 2u, 8u}) {
+    std::shared_ptr<CountingLowerer> failing;
+    dse::Session session(threads(n, /*cache=*/true));
+    const dse::CampaignResult r = session.run(healthy_campaign(4, &failing));
+    ASSERT_EQ(r.jobs.size(), 5u);
+    for (std::size_t j = 0; j < 3; ++j) {
+      const dse::JobStatus& st = r.jobs[j].status;
+      EXPECT_EQ(st.state, dse::JobState::Failed)
+          << "threads=" << n << " job " << j;
+      EXPECT_EQ(st.error, "cannot lower 4 lanes")
+          << "threads=" << n << " job " << j;
+      EXPECT_EQ(st.faults, 1u) << "threads=" << n << " job " << j;
+      EXPECT_TRUE(r.jobs[j].result.entries.empty());
+    }
+    for (std::size_t j = 3; j < 5; ++j) {
+      ASSERT_TRUE(r.jobs[j].status.ok()) << "threads=" << n << " job " << j;
+      EXPECT_EQ(dse::format_sweep(r.jobs[j].result),
+                dse::format_sweep(clean.jobs[j].result))
+          << "threads=" << n << " job " << j;
+      EXPECT_EQ(stats_of(r.jobs[j].result.cache_stats),
+                stats_of(clean.jobs[j].result.cache_stats))
+          << "threads=" << n << " job " << j;
+    }
+  }
+}
+
+TEST(DseGroupedLowering, EqualFingerprintDatabasesKeepSerialAccounting) {
+  // Two databases calibrated from one device: distinct objects, equal
+  // fingerprints, so the second job's lookups hit the first job's
+  // entries — at every thread count, as they do job by job.
+  const auto db_a = cost::DeviceCostDb::calibrate(target::fig15_profile());
+  const auto db_b = cost::DeviceCostDb::calibrate(target::fig15_profile());
+  ASSERT_NE(&db_a, &db_b);
+  ASSERT_EQ(db_a.fingerprint(), db_b.fingerprint());
+  const auto campaign_of = [&](const std::shared_ptr<const dse::Lowerer>& l) {
+    dse::Campaign c;
+    c.jobs.push_back(counted_job(l, db_a));
+    c.jobs.push_back(counted_job(l, db_b));
+    return c;
+  };
+  const dse::CampaignResult reference =
+      job_by_job(campaign_of(std::make_shared<CountingLowerer>(10)));
+  const std::size_t variants = reference.jobs[0].result.entries.size();
+  ASSERT_EQ(reference.jobs[0].result.cache_stats.misses, variants);
+  ASSERT_EQ(reference.jobs[1].result.cache_stats.hits, variants);
+
+  for (const std::uint32_t n : {1u, 2u, 8u}) {
+    const auto lower = std::make_shared<CountingLowerer>(10);
+    dse::Session session(threads(n, /*cache=*/true));
+    const dse::CampaignResult r = session.run(campaign_of(lower));
+    EXPECT_EQ(lower->calls(), variants) << "threads=" << n;
+    for (std::size_t j = 0; j < 2; ++j) {
+      EXPECT_EQ(stats_of(r.jobs[j].result.cache_stats),
+                stats_of(reference.jobs[j].result.cache_stats))
+          << "threads=" << n << " job " << j;
+    }
+    EXPECT_EQ(rendered(r), rendered(reference)) << "threads=" << n;
+  }
 }
 
 // --------------------------------------------------------------------------

@@ -7,7 +7,8 @@
 //
 // Seeds: three fixed seed streams by default; setting TYTRA_GEN_SEED or
 // RANDOM_SEED (the CI soak passes $GITHUB_RUN_ID) replaces them with one
-// fresh stream.
+// fresh stream. The lane-replication golden (tests/golden/
+// replicate_lanes.txt) uses its own fixed seeds 1..50 and ignores both.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,6 +24,7 @@
 #include "tytra/cost/calibration.hpp"
 #include "tytra/cost/throughput.hpp"
 #include "tytra/dse/session.hpp"
+#include "tytra/frontend/transform.hpp"
 #include "tytra/ir/analysis.hpp"
 #include "tytra/ir/parser.hpp"
 #include "tytra/ir/printer.hpp"
@@ -101,6 +104,69 @@ const target::DeviceDesc& device() {
 const cost::DeviceCostDb& db() {
   static const cost::DeviceCostDb db = cost::DeviceCostDb::calibrate(device());
   return db;
+}
+
+/// Appends one golden line per lane count a default sweep of `m`
+/// enumerates: `<label> <lanes> <FNV-1a of the printed replication>`.
+void append_replication_lines(std::string& out, const std::string& label,
+                              const ir::Module& m) {
+  for (const auto& v : frontend::enumerate_variants(m.meta.global_size, 16)) {
+    char line[96];
+    std::snprintf(line, sizeof line, "%s %u %016llx\n", label.c_str(),
+                  v.lanes(),
+                  static_cast<unsigned long long>(fnv1a(ir::print_module(
+                      kernels::replicate_lanes(m, v.lanes())))));
+    out += line;
+  }
+}
+
+/// A hand-written design covering the replication corners the generator
+/// never emits: a memory object shared by two ports (@m_ab), a port with
+/// no stream object (@c), an unreferenced memory object (@m_spare), a
+/// non-port global (the @dotAcc accumulator) passed in a @main call, two
+/// calls in @main, a function already named @f1 (so the par wrapper is
+/// @f1_), and a memory size no lane count divides (12289 words).
+constexpr const char* kReplicationCorners = R"(!name = corners
+!ngs = 12288
+!form = B
+
+memobj @m_ab global ui32 x 12289
+memobj @m_spare global ui32 x 64
+memobj @m_out global ui32 x 12288
+stream @strobj_a reads @m_ab pattern cont
+stream @strobj_b reads @m_ab pattern cont
+stream @strobj_out writes @m_out pattern cont
+
+@main.a = addrSpace(1) ui32, !"istream", !"CONT", !0, !"strobj_a"
+@main.b = addrSpace(1) ui32, !"istream", !"CONT", !0, !"strobj_b"
+@main.c = addrSpace(1) ui32, !"istream", !"CONT", !0
+@main.out = addrSpace(1) ui32, !"ostream", !"CONT", !0, !"strobj_out"
+
+define void @f1(ui32 %a, ui32 %b, ui32 %c, ui32 %out) pipe {
+  ui32 %t1 = mul ui32 %a, %b
+  ui32 %t2 = add ui32 %t1, %c
+  ui32 @out = mov ui32 %t2
+}
+
+define void @f0(ui32 %x, ui32 %acc) pipe {
+  ui32 %t = add ui32 %x, %acc
+  ui32 @dotAcc = add ui32 %t, @dotAcc
+}
+
+define void @main() pipe {
+  call @f1(@a, @b, @c, @out) pipe
+  call @f0(@a, @dotAcc) pipe
+}
+)";
+
+ir::Module replication_corners() {
+  auto parsed = ir::parse_module(kReplicationCorners);
+  if (!parsed.ok()) {
+    ADD_FAILURE() << "corner design does not parse: "
+                  << parsed.error_message();
+    return {};
+  }
+  return std::move(parsed).take().module;
 }
 
 }  // namespace
@@ -250,4 +316,72 @@ TEST(GeneratedKernels, CacheLevelsAgreeUnderSessionSweep) {
           << "seed " << seed;
     }
   }
+}
+
+// replicate_lanes must stay byte-for-byte what it was when the golden was
+// recorded: same object order, first-reference replication of shared
+// objects, wrapper naming and size rounding. On a mismatch the produced
+// lines land in replicate_lanes.txt.actual in the working directory.
+TEST(GeneratedKernels, LaneReplicationMatchesGolden) {
+  std::string actual;
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    append_replication_lines(actual, std::to_string(seed),
+                             kernels::generate_kernel(seed));
+  }
+  append_replication_lines(actual, "corners", replication_corners());
+
+  const std::string name = "replicate_lanes.txt";
+  std::ifstream in(std::string(TYTRA_SOURCE_DIR) + "/tests/golden/" + name,
+                   std::ios::binary);
+  EXPECT_TRUE(in.good()) << "missing golden " << name;
+  const std::string want{std::istreambuf_iterator<char>(in),
+                         std::istreambuf_iterator<char>()};
+  if (actual != want) {
+    std::ofstream(name + ".actual", std::ios::binary) << actual;
+  }
+  EXPECT_EQ(actual, want) << "golden " << name;
+}
+
+// What the golden's corner lines mean, spelled out at 3 lanes.
+TEST(GeneratedKernels, LaneReplicationCorners) {
+  const ir::Module m = replication_corners();
+  const ir::Module v = kernels::replicate_lanes(m, 3);
+  const auto diags = ir::verify(v);
+  ASSERT_FALSE(diags.has_errors()) << diags.to_string();
+
+  // The shared memory object replicates once per lane, at its first
+  // reference; the unreferenced one is dropped; 12289 / 3 rounds up.
+  ASSERT_EQ(v.memobjs.size(), 6u);
+  EXPECT_EQ(v.memobjs[0].name, "m_ab_l0");
+  EXPECT_EQ(v.memobjs[0].size_words, 4097u);
+  EXPECT_EQ(v.memobjs[1].name, "m_out_l0");
+  EXPECT_EQ(v.memobjs[5].name, "m_out_l2");
+  ASSERT_EQ(v.streamobjs.size(), 9u);
+  EXPECT_EQ(v.streamobjs[3].name, "strobj_a_l1");
+  EXPECT_EQ(v.streamobjs[3].memobj, "m_ab_l1");
+  EXPECT_EQ(v.streamobjs[4].name, "strobj_b_l1");
+  EXPECT_EQ(v.streamobjs[4].memobj, "m_ab_l1");
+
+  // A port without a stream object is renamed and stays unbound.
+  ASSERT_EQ(v.ports.size(), 12u);
+  EXPECT_EQ(v.ports[4].name, "a_l1");
+  EXPECT_EQ(v.ports[4].streamobj, "strobj_a_l1");
+  EXPECT_EQ(v.ports[10].name, "c_l2");
+  EXPECT_EQ(v.ports[10].streamobj, "");
+
+  // @f1 is taken, so the wrapper is @f1_: both calls once per lane, port
+  // arguments redirected to the lane, the accumulator left alone.
+  const ir::Function* wrapper = v.find_function("f1_");
+  ASSERT_NE(wrapper, nullptr);
+  EXPECT_EQ(wrapper->kind, ir::FuncKind::Par);
+  const auto calls = wrapper->calls();
+  ASSERT_EQ(calls.size(), 6u);
+  EXPECT_EQ(calls[2]->callee, "f1");
+  EXPECT_EQ(calls[2]->args[2].name, "c_l1");
+  EXPECT_EQ(calls[3]->callee, "f0");
+  EXPECT_EQ(calls[3]->args[0].name, "a_l1");
+  EXPECT_EQ(calls[3]->args[1].name, "dotAcc");
+  ASSERT_NE(v.entry(), nullptr);
+  ASSERT_EQ(v.entry()->calls().size(), 1u);
+  EXPECT_EQ(v.entry()->calls()[0]->callee, "f1_");
 }
