@@ -33,3 +33,18 @@ double cpu_total_seconds(std::uint64_t items, std::uint32_t nki,
                          const CpuKernelCost& cost, const CpuParams& params = {});
 
 }  // namespace tytra::sim
+
+namespace tytra::kernels {
+
+/// Per-item CPU cost of each evaluation kernel (for the baseline model).
+sim::CpuKernelCost sor_cpu_cost();
+sim::CpuKernelCost hotspot_cpu_cost();
+sim::CpuKernelCost lavamd_cpu_cost();
+
+/// CPU parameters of the case-study host (paper §VII: intel-i7 quad at
+/// 1.6 GHz, single-threaded Fortran, gcc -O2). The sustained IPC is the
+/// empirically calibrated value for the LES SOR loop nest (strided
+/// k-plane accesses keep it well below the core's peak issue rate).
+sim::CpuParams case_study_cpu();
+
+}  // namespace tytra::kernels

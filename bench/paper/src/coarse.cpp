@@ -6,8 +6,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "tytra/kernels/coarse.hpp"
+
 #include "tytra/ir/builder.hpp"
-#include "tytra/kernels/kernels.hpp"
 #include "tytra/support/rng.hpp"
 
 namespace tytra::kernels {

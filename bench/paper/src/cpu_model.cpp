@@ -21,3 +21,23 @@ double cpu_total_seconds(std::uint64_t items, std::uint32_t nki,
 }
 
 }  // namespace tytra::sim
+
+namespace tytra::kernels {
+
+sim::CpuKernelCost sor_cpu_cost() {
+  // 7 multiplies, 8 adds/subs per point; ~10 words touched.
+  return {17.0, 10.0 * 4.0};
+}
+
+sim::CpuKernelCost hotspot_cpu_cost() { return {14.0, 6.0 * 4.0}; }
+
+sim::CpuKernelCost lavamd_cpu_cost() { return {16.0, 8.0 * 4.0}; }
+
+sim::CpuParams case_study_cpu() {
+  sim::CpuParams p;
+  p.freq_hz = 1.6e9;
+  p.ipc = 0.29;  // measured sustained rate of the Fortran SOR loop nest
+  return p;
+}
+
+}  // namespace tytra::kernels

@@ -1,17 +1,12 @@
-// Tour of the extensions the paper anticipates: the tiled memory-
-// execution spectrum, the roofline representation of a costed design, the
-// wall-guided auto-tuner, MaxJ wrapper generation, and a self-checking
-// Verilog testbench.
+// Tour of two extensions the paper anticipates: the wall-guided
+// auto-tuner and a self-checking Verilog testbench.
 //
 //   $ ./example_extensions_tour
 
 #include <cstdio>
 #include <memory>
 
-#include "tytra/codegen/maxj.hpp"
 #include "tytra/codegen/testbench.hpp"
-#include "tytra/cost/roofline.hpp"
-#include "tytra/cost/tiling.hpp"
 #include "tytra/dse/session.hpp"
 #include "tytra/kernels/kernels.hpp"
 #include "tytra/sim/functional.hpp"
@@ -38,28 +33,7 @@ int main() {
   const auto tuned = session.tune(job);
   std::printf("=== targeted tuning ===\n%s\n", dse::format_tune(tuned).c_str());
 
-  // --- 2. Roofline placement of the chosen design ---------------------------
-  const ir::Module best = lower(tuned.best_step().variant);
-  const auto point = cost::roofline(best, db);
-  std::printf("=== roofline ===\n%s\n",
-              cost::format_roofline_ascii(point).c_str());
-
-  // --- 3. Tiled memory execution -------------------------------------------
-  const auto tile = cost::best_tile(best, db);
-  if (tile) {
-    std::printf("=== tiling ===\nbest tile: %llu work-items -> EKIT %.1f/s "
-                "(limiting %s)\n\n",
-                static_cast<unsigned long long>(tile->tile_words),
-                tile->estimate.ekit,
-                std::string(cost::wall_name(tile->estimate.limiting)).c_str());
-  }
-
-  // --- 4. HLS-framework integration (MaxJ wrapper) --------------------------
-  const auto wrapper = codegen::emit_maxj_wrapper(best);
-  std::printf("=== MaxJ wrapper (%s) ===\n%.500s...\n\n",
-              wrapper.kernel_name.c_str(), wrapper.kernel_class.c_str());
-
-  // --- 5. Self-checking Verilog testbench ----------------------------------
+  // --- 2. Self-checking Verilog testbench ----------------------------------
   kernels::SorConfig small;
   small.im = small.jm = small.km = 4;
   const ir::Module tiny = kernels::make_sor(small);

@@ -6,9 +6,6 @@
 // a costed design on the (arithmetic intensity, attainable throughput)
 // plane against the device's compute and bandwidth ceilings.
 
-#include <string>
-#include <vector>
-
 #include "tytra/cost/calibration.hpp"
 #include "tytra/ir/module.hpp"
 
@@ -27,9 +24,5 @@ struct RooflinePoint {
 /// Places `module` on the roofline of the calibrated device.
 /// Preconditions: module verifies, NDRange non-zero.
 RooflinePoint roofline(const ir::Module& module, const DeviceCostDb& db);
-
-/// Renders a small ASCII roofline chart with the design marked.
-std::string format_roofline_ascii(const RooflinePoint& point, int width = 60,
-                                  int height = 12);
 
 }  // namespace tytra::cost

@@ -10,11 +10,9 @@
 //   pst  = map^par (map^pipe p_sor) ppst          -- new program
 //
 // Correct-by-construction is enforced: reshapes must preserve the total
-// size (checked at construction) and `flatten . reshape == id` (property
-// tested).
+// size (checked at construction).
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -38,12 +36,9 @@ class Variant {
 
   [[nodiscard]] const std::vector<std::uint64_t>& dims() const { return dims_; }
   [[nodiscard]] const std::vector<ParAnn>& anns() const { return anns_; }
-  [[nodiscard]] std::uint64_t flat_size() const;
 
   /// KNL: the product of par-annotated dimensions (1 when none).
   [[nodiscard]] std::uint32_t lanes() const;
-  /// True when the innermost map is pipelined.
-  [[nodiscard]] bool pipelined() const;
   /// Human-readable form, e.g. "map^par[4] (map^pipe[262144] f)".
   [[nodiscard]] std::string describe() const;
 
@@ -74,12 +69,5 @@ std::vector<std::uint64_t> divisors(std::uint64_t n,
 std::vector<Variant> enumerate_variants(std::uint64_t n,
                                         std::uint32_t max_lanes,
                                         bool include_seq = false);
-
-/// Order-preserving reshape of a data vector (the data-side view of
-/// reshapeTo). Throws std::invalid_argument when outer does not divide.
-std::vector<std::vector<double>> reshape_vec(const std::vector<double>& flat,
-                                             std::uint64_t outer);
-/// Inverse of reshape_vec.
-std::vector<double> flatten_vec(const std::vector<std::vector<double>>& nested);
 
 }  // namespace tytra::frontend

@@ -25,8 +25,6 @@ struct ConfigNode {
   const Function* func{nullptr};
   FuncKind kind{FuncKind::Pipe};
   std::vector<ConfigNode> children;
-
-  [[nodiscard]] std::size_t leaf_count() const;
 };
 
 /// Builds the configuration tree rooted at @main. The entry function itself

@@ -76,8 +76,6 @@ class ModuleBuilder {
   ModuleBuilder& set_ndrange(std::uint64_t ngs);
   ModuleBuilder& set_nki(std::uint32_t nki);
   ModuleBuilder& set_form(ExecForm form);
-  ModuleBuilder& set_freq(double hz);
-  ModuleBuilder& set_ii(std::uint32_t ii);
 
   /// Pre-sizes the Manage-IR vectors for `ports` upcoming add_*_port
   /// calls (each adds one memobj, one streamobj and one binding) — lane

@@ -55,8 +55,4 @@ std::string_view opcode_name(Opcode op);
 /// module attaches resource costs separately.
 int op_latency(Opcode op, const ScalarType& type);
 
-/// True for opcodes whose hardware realization is combinatorial at small
-/// widths (wire-level ops folded into neighbouring stages).
-bool op_is_free(Opcode op);
-
 }  // namespace tytra::ir

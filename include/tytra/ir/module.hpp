@@ -205,9 +205,6 @@ struct Module {
 
   /// The entry function `@main`; nullptr when absent (verifier rejects).
   [[nodiscard]] const Function* entry() const { return find_function("main"); }
-
-  [[nodiscard]] std::size_t input_port_count() const;
-  [[nodiscard]] std::size_t output_port_count() const;
 };
 
 }  // namespace tytra::ir

@@ -35,13 +35,6 @@ struct StructuralDigest {
                          const StructuralDigest&) = default;
 };
 
-/// Streams the module's structure into an existing builder (for callers
-/// composing a wider key, e.g. design + device identity).
-void hash_module(HashBuilder& h, const Module& module);
-
-/// 64-bit structural hash of the module (one walk).
-std::uint64_t structural_hash(const Module& module);
-
 /// 128-bit structural digest of the module (one walk feeding both halves).
 StructuralDigest structural_digest(const Module& module);
 

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "tytra/ir/module.hpp"
-#include "tytra/sim/cpu_model.hpp"
 #include "tytra/sim/functional.hpp"
 
 namespace tytra::kernels {
@@ -55,15 +54,6 @@ struct SorReference {
 };
 SorReference sor_reference(const SorConfig& config, const sim::StreamMap& inputs);
 
-/// Per-item CPU cost of the SOR kernel (for the baseline model).
-sim::CpuKernelCost sor_cpu_cost();
-
-/// CPU parameters of the case-study host (paper §VII: intel-i7 quad at
-/// 1.6 GHz, single-threaded Fortran, gcc -O2). The sustained IPC is the
-/// empirically calibrated value for the LES SOR loop nest (strided
-/// k-plane accesses keep it well below the core's peak issue rate).
-sim::CpuParams case_study_cpu();
-
 // ---------------------------------------------------------------------------
 // Hotspot
 // ---------------------------------------------------------------------------
@@ -85,7 +75,6 @@ ir::Module make_hotspot(const HotspotConfig& config);
 sim::StreamMap hotspot_inputs(const HotspotConfig& config, std::uint64_t seed = 2);
 std::vector<double> hotspot_reference(const HotspotConfig& config,
                                       const sim::StreamMap& inputs);
-sim::CpuKernelCost hotspot_cpu_cost();
 
 // ---------------------------------------------------------------------------
 // LavaMD
@@ -110,27 +99,5 @@ struct LavamdReference {
 };
 LavamdReference lavamd_reference(const LavamdConfig& config,
                                  const sim::StreamMap& inputs);
-sim::CpuKernelCost lavamd_cpu_cost();
-
-// ---------------------------------------------------------------------------
-// Coarse-grained pipeline exemplar (Fig. 7 configuration 3 / Fig. 8)
-// ---------------------------------------------------------------------------
-
-/// A two-stage coarse-grained pipeline: stage A computes a 3-point stencil
-/// sum into an intermediate stream, stage B applies a weighting with a
-/// single-cycle custom combinatorial block (comb) folded in — the exact
-/// configuration the paper's Fig. 8 extracts.
-struct CoarseConfig {
-  std::uint64_t items{4096};
-  std::uint32_t nki{10};
-  ir::ExecForm form{ir::ExecForm::B};
-  ir::ScalarType elem{ir::ScalarType::uint(18)};
-};
-
-ir::Module make_coarse_pipeline(const CoarseConfig& config);
-sim::StreamMap coarse_inputs(const CoarseConfig& config, std::uint64_t seed = 4);
-/// Reference for the final output stream "y".
-std::vector<double> coarse_reference(const CoarseConfig& config,
-                                     const sim::StreamMap& inputs);
 
 }  // namespace tytra::kernels

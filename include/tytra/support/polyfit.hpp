@@ -29,10 +29,6 @@ class Polynomial {
   }
   [[nodiscard]] const std::vector<double>& coeffs() const { return coeffs_; }
 
-  /// Root-mean-square error of this polynomial over the given samples.
-  [[nodiscard]] double rmse(std::span<const double> xs,
-                            std::span<const double> ys) const;
-
  private:
   std::vector<double> coeffs_;
 };

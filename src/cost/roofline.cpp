@@ -1,8 +1,6 @@
 #include "tytra/cost/roofline.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <sstream>
 
 #include "tytra/cost/throughput.hpp"
 #include "tytra/ir/analysis.hpp"
@@ -36,52 +34,6 @@ RooflinePoint roofline(const ir::Module& module, const DeviceCostDb& db) {
   pt.achieved_ops =
       est.ekit * static_cast<double>(d.ngs) * ops_per_item;
   return pt;
-}
-
-std::string format_roofline_ascii(const RooflinePoint& point, int width,
-                                  int height) {
-  width = std::max(20, width);
-  height = std::max(6, height);
-  std::vector<std::string> canvas(static_cast<std::size_t>(height),
-                                  std::string(static_cast<std::size_t>(width), ' '));
-
-  // Log-log axes: x spans AI/16 .. AI*16, y spans roofs/64 .. roofs*2.
-  const double x_lo = point.arithmetic_intensity / 16.0;
-  const double x_hi = point.arithmetic_intensity * 16.0;
-  const double y_hi = std::max(point.ops_ceiling, point.bw_roof_ops) * 2.0;
-  const double y_lo = y_hi / 128.0;
-
-  const auto x_at = [&](double ai) {
-    const double t = std::log(ai / x_lo) / std::log(x_hi / x_lo);
-    return static_cast<int>(std::clamp(t, 0.0, 1.0) * (width - 1));
-  };
-  const auto y_at = [&](double ops) {
-    const double t = std::log(std::max(ops, y_lo) / y_lo) / std::log(y_hi / y_lo);
-    return (height - 1) -
-           static_cast<int>(std::clamp(t, 0.0, 1.0) * (height - 1));
-  };
-
-  const double bw_slope = point.bw_roof_ops / point.arithmetic_intensity;
-  for (int col = 0; col < width; ++col) {
-    const double ai = x_lo * std::pow(x_hi / x_lo, static_cast<double>(col) /
-                                                       (width - 1));
-    const double roof = std::min(point.ops_ceiling, ai * bw_slope);
-    const int row = y_at(roof);
-    canvas[static_cast<std::size_t>(row)][static_cast<std::size_t>(col)] =
-        roof >= point.ops_ceiling * 0.999 ? '-' : '/';
-  }
-  const int px = x_at(point.arithmetic_intensity);
-  const int py = y_at(point.achieved_ops);
-  canvas[static_cast<std::size_t>(py)][static_cast<std::size_t>(px)] = 'X';
-
-  std::ostringstream os;
-  os << "roofline (log-log): '-' compute roof, '/' bandwidth roof, X design\n";
-  for (const auto& row : canvas) os << "  |" << row << "\n";
-  os << "  +" << std::string(static_cast<std::size_t>(width), '-') << "\n";
-  os << "  AI = " << point.arithmetic_intensity << " ops/byte ("
-     << (point.memory_bound ? "memory" : "compute") << "-bound; balance at "
-     << point.balance_point << ")\n";
-  return os.str();
 }
 
 }  // namespace tytra::cost

@@ -1,7 +1,6 @@
 #include "tytra/frontend/transform.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 
 namespace tytra::frontend {
@@ -35,11 +34,6 @@ Variant::Variant(std::vector<std::uint64_t> dims, std::vector<ParAnn> anns)
   }
 }
 
-std::uint64_t Variant::flat_size() const {
-  return std::accumulate(dims_.begin(), dims_.end(), std::uint64_t{1},
-                         std::multiplies<>());
-}
-
 std::uint32_t Variant::lanes() const {
   std::uint64_t lanes = 1;
   for (std::size_t i = 0; i < dims_.size(); ++i) {
@@ -47,8 +41,6 @@ std::uint32_t Variant::lanes() const {
   }
   return static_cast<std::uint32_t>(lanes);
 }
-
-bool Variant::pipelined() const { return anns_.back() == ParAnn::Pipe; }
 
 std::string Variant::describe() const {
   std::string out;
@@ -109,26 +101,6 @@ std::vector<Variant> enumerate_variants(std::uint64_t n,
   }
   if (include_seq) out.push_back(Variant({n}, {ParAnn::Seq}));
   return out;
-}
-
-std::vector<std::vector<double>> reshape_vec(const std::vector<double>& flat,
-                                             std::uint64_t outer) {
-  if (outer == 0 || flat.size() % outer != 0) {
-    throw std::invalid_argument("reshape_vec: outer must divide the size");
-  }
-  const std::size_t inner = flat.size() / outer;
-  std::vector<std::vector<double>> nested(outer);
-  for (std::uint64_t k = 0; k < outer; ++k) {
-    nested[k].assign(flat.begin() + static_cast<std::ptrdiff_t>(k * inner),
-                     flat.begin() + static_cast<std::ptrdiff_t>((k + 1) * inner));
-  }
-  return nested;
-}
-
-std::vector<double> flatten_vec(const std::vector<std::vector<double>>& nested) {
-  std::vector<double> flat;
-  for (const auto& row : nested) flat.insert(flat.end(), row.begin(), row.end());
-  return flat;
 }
 
 }  // namespace tytra::frontend

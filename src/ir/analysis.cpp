@@ -60,13 +60,6 @@ void format_node(std::ostringstream& os, const ConfigNode& node, int indent) {
 
 }  // namespace
 
-std::size_t ConfigNode::leaf_count() const {
-  if (children.empty()) return 1;
-  std::size_t n = 0;
-  for (const auto& c : children) n += c.leaf_count();
-  return n;
-}
-
 ConfigNode build_config_tree(const Module& module) {
   return build_config_tree(module, index_functions(module));
 }

@@ -127,14 +127,6 @@ ModuleBuilder& ModuleBuilder::set_form(ExecForm form) {
   mod_.meta.form = form;
   return *this;
 }
-ModuleBuilder& ModuleBuilder::set_freq(double hz) {
-  mod_.meta.freq_hz = hz;
-  return *this;
-}
-ModuleBuilder& ModuleBuilder::set_ii(std::uint32_t ii) {
-  mod_.meta.ii = ii;
-  return *this;
-}
 
 ModuleBuilder& ModuleBuilder::reserve_ports(std::size_t ports) {
   mod_.memobjs.reserve(mod_.memobjs.size() + ports);

@@ -110,15 +110,4 @@ int op_latency(Opcode op, const ScalarType& type) {
   return 1;
 }
 
-bool op_is_free(Opcode op) {
-  switch (op) {
-    case Opcode::Not:
-    case Opcode::Neg:
-    case Opcode::Mov:
-      return true;
-    default:
-      return false;
-  }
-}
-
 }  // namespace tytra::ir

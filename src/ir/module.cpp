@@ -1,7 +1,5 @@
 #include "tytra/ir/module.hpp"
 
-#include <algorithm>
-
 namespace tytra::ir {
 
 std::string_view addr_space_name(AddrSpace space) {
@@ -98,17 +96,6 @@ const PortBinding* Module::find_port(std::string_view name) const {
     if (p.name == name) return &p;
   }
   return nullptr;
-}
-
-std::size_t Module::input_port_count() const {
-  return static_cast<std::size_t>(
-      std::count_if(ports.begin(), ports.end(), [](const PortBinding& p) {
-        return p.dir == StreamDir::In;
-      }));
-}
-
-std::size_t Module::output_port_count() const {
-  return ports.size() - input_port_count();
 }
 
 }  // namespace tytra::ir

@@ -20,8 +20,8 @@ enum Tag : std::uint64_t {
   kTagOperand = 0x0a,
 };
 
-/// The walk is written once against a sink; sinks fan the field stream
-/// into one or two HashBuilder states.
+/// The walk is written against a sink; WideSink fans the field stream
+/// into two HashBuilder states.
 template <class Sink>
 void put_scalar(Sink& s, const ScalarType& t) {
   s.u64(static_cast<std::uint64_t>(t.kind));
@@ -135,15 +135,6 @@ void put_module(Sink& s, const Module& m) {
   for (const auto& f : m.functions) put_function(s, f);
 }
 
-/// Sink over one caller-supplied builder.
-struct OneSink {
-  HashBuilder* h;
-  void u64(std::uint64_t v) { h->u64(v); }
-  void i64(std::int64_t v) { h->i64(v); }
-  void f64(double v) { h->f64(v); }
-  void str(std::string_view v) { h->str(v); }
-};
-
 /// FNV-1a under a different offset basis and prime, so the check half
 /// compresses string content independently of HashBuilder::str's
 /// standard FNV word — a string collision against one compression does
@@ -160,7 +151,7 @@ std::uint64_t fnv1a_alt(std::string_view s) {
 
 /// Sink fanning one walk into two independently seeded states.
 struct WideSink {
-  HashBuilder a;  // default seed: `key` matches structural_hash()
+  HashBuilder a;  // default seed
   HashBuilder b{0x9ae16a3b2f90404fULL};
   void u64(std::uint64_t v) { a.u64(v), b.u64(v); }
   void i64(std::int64_t v) { a.i64(v), b.i64(v); }
@@ -172,17 +163,6 @@ struct WideSink {
 };
 
 }  // namespace
-
-void hash_module(HashBuilder& h, const Module& module) {
-  OneSink sink{&h};
-  put_module(sink, module);
-}
-
-std::uint64_t structural_hash(const Module& module) {
-  HashBuilder h;
-  hash_module(h, module);
-  return h.value();
-}
 
 StructuralDigest structural_digest(const Module& module) {
   WideSink sink;

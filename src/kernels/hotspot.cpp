@@ -168,6 +168,4 @@ std::vector<double> hotspot_reference(const HotspotConfig& cfg,
   return out;
 }
 
-sim::CpuKernelCost hotspot_cpu_cost() { return {14.0, 6.0 * 4.0}; }
-
 }  // namespace tytra::kernels

@@ -161,6 +161,4 @@ LavamdReference lavamd_reference(const LavamdConfig& cfg,
   return out;
 }
 
-sim::CpuKernelCost lavamd_cpu_cost() { return {16.0, 8.0 * 4.0}; }
-
 }  // namespace tytra::kernels

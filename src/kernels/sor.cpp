@@ -188,16 +188,4 @@ SorReference sor_reference(const SorConfig& cfg, const sim::StreamMap& inputs) {
   return out;
 }
 
-sim::CpuKernelCost sor_cpu_cost() {
-  // 7 multiplies, 8 adds/subs per point; ~10 words touched.
-  return {17.0, 10.0 * 4.0};
-}
-
-sim::CpuParams case_study_cpu() {
-  sim::CpuParams p;
-  p.freq_hz = 1.6e9;
-  p.ipc = 0.29;  // measured sustained rate of the Fortran SOR loop nest
-  return p;
-}
-
 }  // namespace tytra::kernels

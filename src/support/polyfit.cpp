@@ -75,17 +75,6 @@ double Polynomial::eval(double x) const {
   return acc;
 }
 
-double Polynomial::rmse(std::span<const double> xs,
-                        std::span<const double> ys) const {
-  if (xs.empty() || xs.size() != ys.size()) return 0.0;
-  double sum = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double e = eval(xs[i]) - ys[i];
-    sum += e * e;
-  }
-  return std::sqrt(sum / static_cast<double>(xs.size()));
-}
-
 PiecewiseLinear::PiecewiseLinear(std::vector<Knot> knots)
     : knots_(std::move(knots)) {
   for (std::size_t i = 1; i < knots_.size(); ++i) {

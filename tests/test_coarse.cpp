@@ -9,7 +9,7 @@
 #include "tytra/fabric/synth.hpp"
 #include "tytra/ir/analysis.hpp"
 #include "tytra/ir/verifier.hpp"
-#include "tytra/kernels/kernels.hpp"
+#include "tytra/kernels/coarse.hpp"
 #include "tytra/sim/functional.hpp"
 
 namespace {

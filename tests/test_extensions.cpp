@@ -1,14 +1,11 @@
-// Tests for the paper's anticipated extensions: tiled memory execution
-// (the finer-grained spectrum between forms A/B/C), the roofline
-// representation, the MaxJ wrapper generator and the targeted auto-tuner.
+// Tests for the paper's anticipated extensions: the roofline placement of
+// a costed design and the targeted auto-tuner.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 
-#include "tytra/codegen/maxj.hpp"
 #include "tytra/cost/roofline.hpp"
-#include "tytra/cost/tiling.hpp"
 #include "tytra/dse/session.hpp"
 #include "tytra/kernels/kernels.hpp"
 
@@ -30,53 +27,6 @@ kernels::SorConfig sor32() {
   cfg.im = cfg.jm = cfg.km = 32;
   cfg.nki = 100;
   return cfg;
-}
-
-// --------------------------------------------------------------------------
-// Tiling
-// --------------------------------------------------------------------------
-
-TEST(Tiling, FitPredicateRespectsLocalMemory) {
-  EXPECT_TRUE(cost::tile_fits(dev(), 1024, 10));
-  // 2x (double buffer) x 10 streams x 4B x N must exceed BRAM eventually.
-  EXPECT_FALSE(cost::tile_fits(dev(), 1ULL << 26, 10));
-}
-
-TEST(Tiling, TileSizeTradesStagingEfficiencyAgainstLatency) {
-  // Tiny tiles pay per-transfer setup on every stage (bad sustained
-  // bandwidth); huge tiles pay a long first-tile priming latency. The
-  // model must show the small-tile penalty and an interior/boundary
-  // optimum found by best_tile.
-  const auto in = cost::resolve_inputs(kernels::make_sor(sor32()), db());
-  const auto tiny = cost::ekit_tiled(in, 256, db());
-  const auto mid = cost::ekit_tiled(in, 2048, db());
-  EXPECT_GT(mid.ekit, tiny.ekit);
-
-  const auto choice = cost::best_tile(kernels::make_sor(sor32()), db());
-  ASSERT_TRUE(choice.has_value());
-  for (const std::uint64_t tile : {256ULL, 1024ULL, 4096ULL, 16384ULL}) {
-    EXPECT_GE(choice->estimate.ekit, cost::ekit_tiled(in, tile, db()).ekit * 0.999)
-        << "tile=" << tile;
-  }
-}
-
-TEST(Tiling, WholeRangeTileNeverBeatsItself) {
-  // A tile covering the whole NDRange is the form-B/C limit: the best
-  // choice can only be at least as good as any smaller tile.
-  const ir::Module m = kernels::make_sor(sor32());
-  const auto choice = cost::best_tile(m, db());
-  ASSERT_TRUE(choice.has_value());
-  const auto in = cost::resolve_inputs(m, db());
-  for (const std::uint64_t tile : {512ULL, 2048ULL}) {
-    EXPECT_GE(choice->estimate.ekit, cost::ekit_tiled(in, tile, db()).ekit);
-  }
-}
-
-TEST(Tiling, DegenerateInputs) {
-  cost::EkitInputs in;
-  EXPECT_EQ(cost::ekit_tiled(in, 1024, db()).ekit, 0.0);
-  const auto resolved = cost::resolve_inputs(kernels::make_sor(sor32()), db());
-  EXPECT_EQ(cost::ekit_tiled(resolved, 0, db()).ekit, 0.0);
 }
 
 // --------------------------------------------------------------------------
@@ -102,50 +52,6 @@ TEST(Roofline, MoreLanesRaiseTheComputeRoof) {
   EXPECT_NEAR(four.ops_ceiling / one.ops_ceiling, 4.0, 0.01);
   // AI is a property of the algorithm, not the variant.
   EXPECT_NEAR(four.arithmetic_intensity, one.arithmetic_intensity, 1e-9);
-}
-
-TEST(Roofline, AsciiChartRendersDesignMark) {
-  const auto pt = cost::roofline(kernels::make_sor(sor32()), db());
-  const std::string chart = cost::format_roofline_ascii(pt);
-  EXPECT_NE(chart.find('X'), std::string::npos);
-  EXPECT_NE(chart.find("ops/byte"), std::string::npos);
-}
-
-// --------------------------------------------------------------------------
-// MaxJ wrapper
-// --------------------------------------------------------------------------
-
-TEST(Maxj, WrapperDeclaresEveryPort) {
-  const ir::Module m = kernels::make_sor(sor32());
-  const auto wrapper = codegen::emit_maxj_wrapper(m);
-  EXPECT_EQ(wrapper.kernel_name, "SorC2Kernel");
-  for (const auto& p : m.ports) {
-    EXPECT_NE(wrapper.kernel_class.find("\"" + p.name + "\""),
-              std::string::npos)
-        << p.name;
-  }
-  EXPECT_NE(wrapper.kernel_class.find("dfeUInt(18)"), std::string::npos);
-  EXPECT_NE(wrapper.kernel_class.find("io.output"), std::string::npos);
-  EXPECT_NE(wrapper.kernel_class.find("pushHDLNode"), std::string::npos);
-}
-
-TEST(Maxj, ManagerReflectsMemoryExecutionForm) {
-  kernels::SorConfig cfg = sor32();
-  cfg.form = ir::ExecForm::A;
-  const auto form_a = codegen::emit_maxj_wrapper(kernels::make_sor(cfg));
-  EXPECT_NE(form_a.manager_class.find("ALL_CPU"), std::string::npos);
-  cfg.form = ir::ExecForm::B;
-  const auto form_b = codegen::emit_maxj_wrapper(kernels::make_sor(cfg));
-  EXPECT_NE(form_b.manager_class.find("ALL_LMEM"), std::string::npos);
-}
-
-TEST(Maxj, FloatAndVectorTypesMapped) {
-  ir::Module m = kernels::make_sor(sor32());
-  m.ports[0].type = ir::Type::scalar_of(ir::ScalarType::f32());
-  m.ports[1].type = ir::Type::vector_of(ir::ScalarType::uint(18), 4);
-  const auto wrapper = codegen::emit_maxj_wrapper(m);
-  EXPECT_NE(wrapper.kernel_class.find("dfeFloat(8, 24)"), std::string::npos);
-  EXPECT_NE(wrapper.kernel_class.find("DFEVectorType"), std::string::npos);
 }
 
 // --------------------------------------------------------------------------

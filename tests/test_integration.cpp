@@ -1,12 +1,11 @@
 // End-to-end integration tests across the whole flow (Fig. 1/11):
 // functional front-end variant -> lowered TyTra-IR -> verifier -> cost
-// model -> execution simulator -> HDL + MaxJ wrapper, on every kernel.
+// model -> execution simulator -> HDL, on every kernel.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 
-#include "tytra/codegen/maxj.hpp"
 #include "tytra/codegen/verilog.hpp"
 #include "tytra/cost/report.hpp"
 #include "tytra/dse/session.hpp"
@@ -64,8 +63,6 @@ TEST(EndToEnd, SorFullFlow) {
   // 6. Back-end artifacts.
   const auto hdl = codegen::emit_verilog(module);
   EXPECT_GT(hdl.source.size(), 1000u);
-  const auto maxj = codegen::emit_maxj_wrapper(module);
-  EXPECT_FALSE(maxj.kernel_class.empty());
 
   // 7. The "vendor tool" agrees the design fits.
   const auto synth = fabric::synthesize(module, db().device());

@@ -17,6 +17,17 @@ using tytra::PiecewiseLinear;
 using tytra::Polynomial;
 using tytra::StepModel;
 
+/// Root-mean-square error of `p` over the samples.
+double rmse(const Polynomial& p, const std::vector<double>& xs,
+            const std::vector<double>& ys) {
+  double sum = 0.0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const double e = p.eval(xs[i]) - ys[i];
+    sum += e * e;
+  }
+  return std::sqrt(sum / static_cast<double>(xs.size()));
+}
+
 TEST(LinearSolver, SolvesIdentity) {
   const auto x = tytra::solve_linear_system({1, 0, 0, 1}, {3, -2}, 2);
   EXPECT_DOUBLE_EQ(x[0], 3.0);
@@ -61,7 +72,7 @@ TEST(Polynomial, LeastSquaresLine) {
   const std::vector<double> ys = {1, 3, 5, 7};  // y = 2x + 1
   const Polynomial p = Polynomial::fit(xs, ys, 1);
   EXPECT_NEAR(p.eval(10), 21.0, 1e-9);
-  EXPECT_NEAR(p.rmse(xs, ys), 0.0, 1e-9);
+  EXPECT_NEAR(rmse(p, xs, ys), 0.0, 1e-9);
 }
 
 TEST(Polynomial, OverdeterminedNoisyFitHasSmallRmse) {
@@ -74,7 +85,7 @@ TEST(Polynomial, OverdeterminedNoisyFitHasSmallRmse) {
     ys.push_back(0.5 * x * x - 2 * x + 7 + rng.uniform(-0.1, 0.1));
   }
   const Polynomial p = Polynomial::fit(xs, ys, 2);
-  EXPECT_LT(p.rmse(xs, ys), 0.1);
+  EXPECT_LT(rmse(p, xs, ys), 0.1);
   EXPECT_NEAR(p.coeffs()[2], 0.5, 0.01);
 }
 
