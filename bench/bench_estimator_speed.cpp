@@ -15,7 +15,11 @@
 //                    IR exists at all.
 // Each is reported as per-variant microseconds and variants/second. The
 // run fails when the key-less regime hits at all or costs more than
-// 1.25x cold per variant.
+// 1.25x cold per variant. The cold path is then split into its stages —
+// lower, ir::summarize and cost_design over the summary — timed per call
+// on the same SOR variants and on a generator regime: 50 generated
+// kernels (fixed seeds) through the file lowerer, every lane variant
+// each, the shape of most designs a campaign evaluates.
 //
 // Usage:
 //   bench_estimator_speed [--json <path>] [--baseline <path>]
@@ -40,10 +44,13 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "tytra/cost/report.hpp"
 #include "tytra/dse/session.hpp"
 #include "tytra/fabric/synth.hpp"
+#include "tytra/kernels/file_workload.hpp"
+#include "tytra/kernels/generator.hpp"
 #include "tytra/kernels/kernels.hpp"
 #include "tytra/kernels/registry.hpp"
 #include "tytra/support/hash.hpp"
@@ -136,6 +143,85 @@ dse::Session make_session(bool enable_cache) {
   so.num_threads = kThreads;
   so.enable_cache = enable_cache;
   return dse::Session(so);
+}
+
+/// Per-call cost of each cold-path stage over one set of designs.
+struct StageTiming {
+  std::size_t calls{0};
+  double lower_us{0};
+  double summarize_us{0};
+  double cost_design_us{0};
+};
+
+/// A lowerer and the variants of it to lower.
+struct StageWork {
+  std::shared_ptr<const dse::Lowerer> lower;
+  std::vector<frontend::Variant> variants;
+};
+
+/// Times lower, summarize and cost_design (summary overload) separately,
+/// each as one pass over every (lowerer, variant) pair, best of `reps`.
+StageTiming time_stages(const std::vector<StageWork>& work, int reps) {
+  StageTiming out;
+  for (const auto& w : work) out.calls += w.variants.size();
+  std::vector<ir::Module> modules;
+  std::vector<ir::AnalysisSummary> summaries;
+  modules.reserve(out.calls);
+  summaries.reserve(out.calls);
+  double best_lower = 1e300;
+  double best_summarize = 1e300;
+  double best_cost = 1e300;
+  volatile double sink = 0;
+  for (int rep = 0; rep < reps; ++rep) {
+    summaries.clear();
+    modules.clear();
+    auto t0 = std::chrono::steady_clock::now();
+    for (const auto& w : work) {
+      for (const auto& v : w.variants) modules.push_back(w.lower->lower(v));
+    }
+    best_lower = std::min(best_lower, now_minus(t0));
+    t0 = std::chrono::steady_clock::now();
+    for (const auto& m : modules) summaries.push_back(ir::summarize(m));
+    best_summarize = std::min(best_summarize, now_minus(t0));
+    t0 = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < modules.size(); ++i) {
+      sink = sink + cost::cost_design(modules[i], db(), summaries[i])
+                        .throughput.ekit;
+    }
+    best_cost = std::min(best_cost, now_minus(t0));
+  }
+  const double per_call = 1e6 / static_cast<double>(out.calls);
+  out.lower_us = best_lower * per_call;
+  out.summarize_us = best_summarize * per_call;
+  out.cost_design_us = best_cost * per_call;
+  return out;
+}
+
+/// The SOR sweep's variants through its keyed lowerer.
+std::vector<StageWork> sor_stage_work(const dse::Job& job) {
+  return {{job.lower, frontend::enumerate_variants(job.n, 16)}};
+}
+
+/// Generated kernels 1..50 through the file lowerer, every lane variant.
+std::vector<StageWork> generator_stage_work() {
+  std::vector<StageWork> work;
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    auto baseline =
+        std::make_shared<const ir::Module>(kernels::generate_kernel(seed));
+    work.push_back({std::make_shared<dse::KeyedLowerer>(
+                        kernels::file_lowerer(baseline)),
+                    frontend::enumerate_variants(baseline->meta.global_size,
+                                                 16)});
+  }
+  return work;
+}
+
+std::string stage_json(const StageTiming& t) {
+  std::ostringstream os;
+  os << "{\"calls\": " << t.calls << ", \"lower_us\": " << t.lower_us
+     << ", \"summarize_us\": " << t.summarize_us
+     << ", \"cost_design_us\": " << t.cost_design_us << "}";
+  return os.str();
 }
 
 /// A fixed CPU-bound workload (integer mixing, the same family of
@@ -261,6 +347,24 @@ int main(int argc, char** argv) {
   std::printf("variant-key speedup: %8.1fx vs cold\n",
               cold.us_per_variant / warm.us_per_variant);
 
+  const StageTiming sor_stages = time_stages(sor_stage_work(keyed_job), 120);
+  const StageTiming gen_stages = time_stages(generator_stage_work(), 15);
+  std::printf("\n=== cold path by stage, us per call (best of N) ===\n");
+  std::printf("%-28s %9s %11s %12s\n", "", "lower", "summarize",
+              "cost_design");
+  const auto stage_row = [](const char* what, const StageTiming& t) {
+    std::printf("%-28s %9.2f %11.2f %12.2f\n", what, t.lower_us,
+                t.summarize_us, t.cost_design_us);
+  };
+  char sor_label[64];
+  std::snprintf(sor_label, sizeof sor_label, "SOR nd=%u (%zu variants)", kNd,
+                sor_stages.calls);
+  stage_row(sor_label, sor_stages);
+  char gen_label[64];
+  std::snprintf(gen_label, sizeof gen_label, "generator x50 (%zu variants)",
+                gen_stages.calls);
+  stage_row(gen_label, gen_stages);
+
   const double probe_us = machine_probe_us();
 
   if (!json_path.empty()) {
@@ -285,7 +389,9 @@ int main(int argc, char** argv) {
        << cold.us_per_variant / warm.us_per_variant << ",\n";
     os << "  \"estimate_seconds_16lane\": " << est_s << ",\n";
     os << "  \"synth_seconds_16lane\": " << synth_s << ",\n";
-    os << "  \"speedup_vs_synth\": " << synth_s / est_s << "\n";
+    os << "  \"speedup_vs_synth\": " << synth_s / est_s << ",\n";
+    os << "  \"cold_stages\": {\"sor\": " << stage_json(sor_stages)
+       << ", \"generator\": " << stage_json(gen_stages) << "}\n";
     os << "}\n";
     std::ofstream out(json_path);
     if (!out) {

@@ -8,9 +8,6 @@
 // This path never consults the fabric synthesizer; it only evaluates
 // fitted curves, which is what makes it fast.
 
-#include <map>
-#include <string>
-
 #include "tytra/cost/calibration.hpp"
 #include "tytra/ir/analysis.hpp"
 #include "tytra/ir/module.hpp"
@@ -20,7 +17,6 @@ namespace tytra::cost {
 
 struct ResourceEstimate {
   ResourceVec total;
-  std::map<std::string, ResourceVec> per_function;  ///< one instance each
   Utilization util;
   bool fits{false};
 };

@@ -9,7 +9,6 @@
 //    the design variant (NGS, NWPT, NKI, Noff, KPD, NTO, NI, KNL, DV).
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -57,10 +56,16 @@ ConfigClass classify_config(const Module& module);
 /// a value produced by an instruction whose operands are ready at cycle s
 /// with latency L becomes available at s + L.
 struct FunctionSchedule {
-  /// Availability cycle per value name (params/offsets ready at 0).
-  std::map<std::string, int> ready_at;
   /// Issue cycle per instruction (parallel to Function::instructions()).
   std::vector<int> issue_at;
+  /// Availability cycle per instruction argument: the arguments of every
+  /// instruction in body order, each instruction's in operand order (so
+  /// instruction i's start at the sum of the earlier argument counts). A
+  /// local operand reads its name's last definition in the function
+  /// (params and offsets are ready at 0; an undefined name reads 0); other
+  /// operands read 0. This is the readiness the delay-balancing registers
+  /// are sized from.
+  std::vector<int> arg_ready;
   /// Total pipeline depth in cycles of this function (critical path).
   int depth{0};
 };
@@ -111,16 +116,25 @@ std::uint32_t lane_count(const Module& module);
 // One-traversal analysis summary
 // ---------------------------------------------------------------------------
 
+/// Marks an unresolved function index (a call to an undefined callee, or
+/// a module without @main).
+inline constexpr std::size_t kNoFunction = ~std::size_t{0};
+
 /// Everything the cost pipeline needs about one function, computed once:
-/// the body partition (instructions / offsets / calls), the ASAP schedule
-/// (with child depths memoized instead of re-derived per call site), and
-/// the aggregate counts the Table-I extraction reads.
+/// the body partition (instructions / offsets / calls) with every callee
+/// resolved to its index, the ASAP schedule (with child depths memoized
+/// instead of re-derived per call site), and the aggregate counts the
+/// Table-I extraction reads.
 struct FunctionSummary {
   const Function* func{nullptr};
   FunctionSchedule schedule;
   std::vector<const Instr*> instrs;
   std::vector<const OffsetDecl*> offsets;
   std::vector<const Call*> calls;
+  /// Index into AnalysisSummary::functions of each call's callee (parallel
+  /// to `calls`; first definition wins, like Module::find_function), or
+  /// kNoFunction when the callee is undefined.
+  std::vector<std::size_t> callees;
   /// Instructions reachable through this function's call tree, counting
   /// once per call site (replicated lanes count per lane).
   double instr_count_reachable{0};
@@ -137,6 +151,13 @@ struct PortSummary {
   /// Backing memory-object size in words; the NDRange size when the port
   /// has no resolvable memory object.
   std::uint64_t addr_range_words{0};
+  /// Index of the first port with this port's (width, addr_range_words):
+  /// its stream-control cost is the same, so the resource model prices
+  /// it once per design.
+  std::size_t control_class{0};
+  /// Index of the first port with this port's (pattern, stride_words): its
+  /// sustained DRAM bandwidth is the same at any transfer size.
+  std::size_t bandwidth_class{0};
 };
 
 /// The single-traversal analysis bundle: everything `classify_config`,
@@ -152,20 +173,22 @@ struct AnalysisSummary {
   std::vector<FunctionSummary> functions;  ///< parallel to module->functions
   std::vector<PortSummary> ports;          ///< parallel to module->ports
   std::size_t offset_count{0};             ///< offset decls over all functions
+  std::size_t entry_index{kNoFunction};    ///< index of @main in `functions`
 
-  /// Summary of the function named `name` (first match, like
-  /// Module::find_function); nullptr when absent.
-  [[nodiscard]] const FunctionSummary* find(std::string_view name) const;
   /// Summary of the entry function @main; nullptr when absent.
-  [[nodiscard]] const FunctionSummary* entry() const { return find("main"); }
+  [[nodiscard]] const FunctionSummary* entry() const {
+    return entry_index == kNoFunction ? nullptr : &functions[entry_index];
+  }
 };
 
 /// Computes the full analysis summary in one pass over the module: each
 /// function's body is partitioned and scheduled exactly once (child
-/// pipeline depths are memoized), the configuration tree is built once,
-/// and every port's stream/memory lookup is resolved once. All derived
-/// values are bit-identical to the standalone functions above — the
-/// legacy entry points are thin wrappers over this.
+/// pipeline depths are memoized), every name — callee, operand, stream and
+/// memory object — is resolved to an index once, the configuration tree is
+/// built once, and every port's stream/memory lookup is resolved once. No
+/// later stage of the cost model looks a name up. All derived values are
+/// bit-identical to schedule_function's; the other standalone functions
+/// above are thin wrappers over this.
 /// Preconditions: module verifies.
 AnalysisSummary summarize(const Module& module);
 

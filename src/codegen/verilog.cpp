@@ -281,14 +281,13 @@ class Emitter {
 
     // Instructions in schedule order, with operand alignment delays.
     std::size_t instr_idx = 0;
+    const int* arg_ready = sched.arg_ready.data();
     for (const auto& item : f.body) {
       const auto* instr = std::get_if<Instr>(&item);
       if (instr == nullptr) continue;
-      const int issue = instr_idx < sched.issue_at.size()
-                            ? sched.issue_at[instr_idx]
-                            : 0;
-      ++instr_idx;
-      emit_instr(f, sched, *instr, issue, out_params);
+      const int issue = sched.issue_at[instr_idx++];
+      emit_instr(sched, *instr, issue, arg_ready, out_params);
+      arg_ready += instr->args.size();
     }
 
     // Coarse-grained pipeline: chain child pipe/seq stages, threading the
@@ -331,8 +330,8 @@ class Emitter {
   }
 
   /// Wire name of an operand aligned to the consumer's issue stage.
-  std::string aligned_operand(const ir::FunctionSchedule& sched,
-                              const Operand& a, int issue,
+  /// `ready` is the operand's availability cycle from the schedule.
+  std::string aligned_operand(const Operand& a, int ready, int issue,
                               std::uint32_t bits) {
     switch (a.kind) {
       case Operand::Kind::ConstInt:
@@ -345,8 +344,6 @@ class Emitter {
         return "red_" + sanitize_identifier(a.name);
       case Operand::Kind::Local: {
         const std::string id = sanitize_identifier(a.name);
-        const auto it = sched.ready_at.find(a.name);
-        const int ready = it != sched.ready_at.end() ? it->second : 0;
         const int lag = issue - ready;
         if (lag <= 0) return id;
         // Deduplicated delay taps.
@@ -366,8 +363,10 @@ class Emitter {
     return "0";
   }
 
-  void emit_instr(const Function& f, const ir::FunctionSchedule& sched,
-                  const Instr& instr, int issue,
+  /// `arg_ready` points at this instruction's first entry in the
+  /// schedule's per-argument readiness.
+  void emit_instr(const ir::FunctionSchedule& sched, const Instr& instr,
+                  int issue, const int* arg_ready,
                   const std::set<std::string>& out_params) {
     const std::uint32_t bits = instr.type.total_bits();
     const bool is_signed = instr.type.scalar.kind == ir::ScalarKind::SInt;
@@ -375,8 +374,8 @@ class Emitter {
     const std::string result_id = sanitize_identifier(instr.result);
 
     std::vector<std::string> args;
-    for (const auto& a : instr.args) {
-      args.push_back(aligned_operand(sched, a, issue, bits));
+    for (std::size_t i = 0; i < instr.args.size(); ++i) {
+      args.push_back(aligned_operand(instr.args[i], arg_ready[i], issue, bits));
     }
 
     if (instr.result_global) {
@@ -411,7 +410,6 @@ class Emitter {
     if (args.size() >= 3) os_ << ", .c(" << args[2] << ")";
     os_ << ", .q(" << result_id << "));\n\n";
     ++primitive_instances_;
-    (void)f;
   }
 
   /// Emits the top-level compute unit: per-lane PE instances wired to the

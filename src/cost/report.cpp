@@ -110,11 +110,6 @@ void save_report(binio::Encoder& enc, const CostReport& r) {
   enc.u8(static_cast<std::uint8_t>(p.form));
 
   save_vec(enc, r.resources.total);
-  enc.u64(r.resources.per_function.size());
-  for (const auto& [name, vec] : r.resources.per_function) {
-    enc.str(name);
-    save_vec(enc, vec);
-  }
   enc.f64(r.resources.util.aluts);
   enc.f64(r.resources.util.regs);
   enc.f64(r.resources.util.bram);
@@ -166,12 +161,6 @@ CostReport load_report(binio::Decoder& dec) {
   p.form = static_cast<ir::ExecForm>(form);
 
   r.resources.total = load_vec(dec);
-  const std::uint64_t functions = dec.u64();
-  if (!dec.fits(functions, 8 + 4 * 8)) return r;
-  for (std::uint64_t i = 0; i < functions && dec.ok(); ++i) {
-    std::string name = dec.str();
-    r.resources.per_function.emplace(std::move(name), load_vec(dec));
-  }
   r.resources.util.aluts = dec.f64();
   r.resources.util.regs = dec.f64();
   r.resources.util.bram = dec.f64();

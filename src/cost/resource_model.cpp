@@ -1,7 +1,7 @@
 #include "tytra/cost/resource_model.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+#include <vector>
 
 #include "tytra/ir/analysis.hpp"
 
@@ -21,12 +21,11 @@ using ir::Operand;
 ResourceVec own_cost(const ir::FunctionSummary& fs, const DeviceCostDb& db) {
   ResourceVec total;
   const ir::FunctionSchedule& sched = fs.schedule;
-  std::size_t instr_idx = 0;
+  const int* arg_ready = sched.arg_ready.data();
 
-  for (const Instr* instr : fs.instrs) {
-    const int issue =
-        instr_idx < sched.issue_at.size() ? sched.issue_at[instr_idx] : 0;
-    ++instr_idx;
+  for (std::size_t i = 0; i < fs.instrs.size(); ++i) {
+    const Instr* instr = fs.instrs[i];
+    const int issue = sched.issue_at[i];
     const double lanes = instr->type.lanes;
     const Operand* const_arg = nullptr;
     for (const auto& a : instr->args) {
@@ -41,9 +40,8 @@ ResourceVec own_cost(const ir::FunctionSummary& fs, const DeviceCostDb& db) {
 
     // Delay-balancing registers along skewed operand paths.
     for (const auto& a : instr->args) {
+      const int ready = *arg_ready++;
       if (a.kind != Operand::Kind::Local) continue;
-      const auto it = sched.ready_at.find(a.name);
-      const int ready = it != sched.ready_at.end() ? it->second : 0;
       if (issue > ready) {
         total.regs += static_cast<double>(issue - ready) *
                       instr->type.scalar.bits * lanes;
@@ -75,31 +73,42 @@ ResourceVec own_cost(const ir::FunctionSummary& fs, const DeviceCostDb& db) {
   return total;
 }
 
-}  // namespace
+/// Totals own costs over the call tree: children count per call site
+/// (replicated lanes pay per lane), and each distinct callee's total is
+/// computed once. Reads only the summary's resolved callee indices.
+class TreeCost {
+ public:
+  TreeCost(const ir::AnalysisSummary& summary, const DeviceCostDb& db)
+      : summary_(summary),
+        db_(db),
+        totals_(summary.functions.size()),
+        done_(summary.functions.size(), false) {}
 
-namespace {
-
-/// Partitions and schedules one function against `module` without
-/// requiring it to be a member of `module.functions` — the public
-/// estimate_function accepts detached Function objects (copies, synthetic
-/// wrappers), which the module-wide summary cannot know about.
-ir::FunctionSummary summarize_detached(const Module& module,
-                                       const Function& function) {
-  ir::FunctionSummary fs;
-  fs.func = &function;
-  fs.instrs.reserve(function.body.size());
-  for (const auto& item : function.body) {
-    if (const auto* instr = std::get_if<Instr>(&item)) {
-      fs.instrs.push_back(instr);
-    } else if (const auto* off = std::get_if<ir::OffsetDecl>(&item)) {
-      fs.offsets.push_back(off);
-    } else {
-      fs.calls.push_back(&std::get<ir::Call>(item));
+  /// Total of the summary's function `fi`, children included.
+  const ResourceVec& total(std::size_t fi) {
+    if (!done_[fi]) {
+      done_[fi] = true;  // cycle guard; verified call graphs are acyclic
+      totals_[fi] = over(summary_.functions[fi]);
     }
+    return totals_[fi];
   }
-  fs.schedule = ir::schedule_function(module, function);
-  return fs;
-}
+
+  /// Total of `fs` (a member of the summary or a detached function whose
+  /// callees index into it), children included.
+  ResourceVec over(const ir::FunctionSummary& fs) {
+    ResourceVec t = own_cost(fs, db_);
+    for (const std::size_t callee : fs.callees) {
+      if (callee != ir::kNoFunction) t += total(callee);
+    }
+    return t;
+  }
+
+ private:
+  const ir::AnalysisSummary& summary_;
+  const DeviceCostDb& db_;
+  std::vector<ResourceVec> totals_;
+  std::vector<bool> done_;
+};
 
 }  // namespace
 
@@ -109,35 +118,32 @@ ResourceVec estimate_function(const Module& module, const Function& function,
   // the walk shares the memoized schedules, then total own costs over the
   // call tree (children per call site, like the design-level estimate).
   // A function that is not a member of `module` (a copy, a synthetic
-  // wrapper) is summarized on the spot instead of being silently skipped.
+  // wrapper) is partitioned and scheduled on the spot, its callees
+  // resolved against the module, instead of being silently skipped.
   const ir::AnalysisSummary summary = ir::summarize(module);
-  std::unordered_map<const Function*, ResourceVec> totals;
-  std::unordered_map<const Function*, const ir::FunctionSummary*> by_func;
-  for (const auto& fs : summary.functions) by_func.emplace(fs.func, &fs);
-
-  auto total_of = [&](auto&& self, const Function& f) -> ResourceVec {
-    const auto fs_it = by_func.find(&f);
-    const ir::FunctionSummary detached =
-        fs_it == by_func.end() ? summarize_detached(module, f)
-                               : ir::FunctionSummary{};
-    const ir::FunctionSummary& fs =
-        fs_it == by_func.end() ? detached : *fs_it->second;
-    ResourceVec total = own_cost(fs, db);
-    for (const auto* call : fs.calls) {
-      if (const Function* callee = module.find_function(call->callee)) {
-        const auto memo = totals.find(callee);
-        if (memo != totals.end()) {
-          total += memo->second;
-        } else {
-          const ResourceVec child = self(self, *callee);
-          totals.emplace(callee, child);
-          total += child;
-        }
-      }
+  TreeCost tree(summary, db);
+  for (std::size_t i = 0; i < module.functions.size(); ++i) {
+    if (&module.functions[i] == &function) return tree.total(i);
+  }
+  ir::FunctionSummary fs;
+  fs.func = &function;
+  for (const auto& item : function.body) {
+    if (const auto* instr = std::get_if<Instr>(&item)) {
+      fs.instrs.push_back(instr);
+    } else if (const auto* off = std::get_if<ir::OffsetDecl>(&item)) {
+      fs.offsets.push_back(off);
+    } else {
+      const auto& call = std::get<ir::Call>(item);
+      fs.calls.push_back(&call);
+      const Function* callee = module.find_function(call.callee);
+      fs.callees.push_back(callee != nullptr
+                               ? static_cast<std::size_t>(
+                                     callee - module.functions.data())
+                               : ir::kNoFunction);
     }
-    return total;
-  };
-  return total_of(total_of, function);
+  }
+  fs.schedule = ir::schedule_function(module, function);
+  return tree.over(fs);
 }
 
 ResourceEstimate estimate_resources(const Module& module,
@@ -145,59 +151,23 @@ ResourceEstimate estimate_resources(const Module& module,
   return estimate_resources(module, db, ir::summarize(module));
 }
 
-ResourceEstimate estimate_resources(const Module& module,
+ResourceEstimate estimate_resources(const Module& /*module*/,
                                     const DeviceCostDb& db,
                                     const ir::AnalysisSummary& summary) {
   ResourceEstimate est;
-  const Function* main = module.entry();
-  if (main == nullptr) return est;
+  if (summary.entry_index == ir::kNoFunction) return est;
+  est.total = TreeCost(summary, db).total(summary.entry_index);
 
-  // Own cost per function, computed once each; design total accumulated
-  // over the call tree with children counted per call site (replicated
-  // lanes pay per lane), memoized per distinct callee.
-  const std::size_t nf = summary.functions.size();
-  std::vector<ResourceVec> own(nf);
-  std::vector<bool> own_done(nf, false);
-  auto own_of = [&](std::size_t fi) -> const ResourceVec& {
-    if (!own_done[fi]) {
-      own[fi] = own_cost(summary.functions[fi], db);
-      own_done[fi] = true;
+  // Stream control per port, priced once per distinct (width, range) and
+  // summed in port order.
+  std::vector<ResourceVec> control(summary.ports.size());
+  for (std::size_t i = 0; i < summary.ports.size(); ++i) {
+    const ir::PortSummary& ps = summary.ports[i];
+    if (ps.control_class == i) {
+      control[i] = db.stream_control_cost(ps.port->type.total_bits(),
+                                          ps.addr_range_words);
     }
-    return own[fi];
-  };
-
-  std::unordered_map<std::string_view, std::size_t> index;
-  index.reserve(nf);
-  for (std::size_t i = 0; i < nf; ++i) {
-    index.emplace(summary.functions[i].func->name, i);
-  }
-
-  std::vector<ResourceVec> totals(nf);
-  std::vector<bool> total_done(nf, false);
-  auto total_of = [&](auto&& self, std::size_t fi) -> const ResourceVec& {
-    if (total_done[fi]) return totals[fi];
-    total_done[fi] = true;  // cycle guard; verified call graphs are acyclic
-    ResourceVec total = own_of(fi);
-    for (const auto* call : summary.functions[fi].calls) {
-      const auto it = index.find(call->callee);
-      if (it != index.end()) total += self(self, it->second);
-    }
-    totals[fi] = total;
-    return totals[fi];
-  };
-
-  const auto main_it = index.find(main->name);
-  if (main_it != index.end()) est.total = total_of(total_of, main_it->second);
-
-  for (std::size_t i = 0; i < nf; ++i) {
-    const Function& f = *summary.functions[i].func;
-    if (f.name == "main") continue;
-    est.per_function[f.name] = own_of(i);
-  }
-
-  for (const auto& ps : summary.ports) {
-    est.total += db.stream_control_cost(ps.port->type.total_bits(),
-                                        ps.addr_range_words);
+    est.total += control[ps.control_class];
   }
 
   est.util = utilization(est.total, db.device());

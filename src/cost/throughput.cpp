@@ -1,6 +1,7 @@
 #include "tytra/cost/throughput.hpp"
 
 #include <algorithm>
+#include <vector>
 
 namespace tytra::cost {
 
@@ -105,12 +106,19 @@ EkitInputs resolve_inputs(const ir::Module& module, const DeviceCostDb& db,
   // rho_G: weight the per-port patterns (strided ports stream far slower).
   // The table is evaluated at the *total* transfer size: the concurrent
   // port streams form one long aggregate DRAM transfer.
+  // Each distinct (pattern, stride) is looked up once; the terms are still
+  // summed in port order.
   if (!module.ports.empty() && bytes > 0) {
+    std::vector<double> inv(summary.ports.size());
     double inv_sum = 0;
-    for (const auto& ps : summary.ports) {
-      const double bw =
-          db.bandwidth().sustained(bytes, ps.port->pattern, ps.stride_words);
-      inv_sum += 1.0 / std::max(1.0, bw);
+    for (std::size_t i = 0; i < summary.ports.size(); ++i) {
+      const ir::PortSummary& ps = summary.ports[i];
+      if (ps.bandwidth_class == i) {
+        const double bw =
+            db.bandwidth().sustained(bytes, ps.port->pattern, ps.stride_words);
+        inv[i] = 1.0 / std::max(1.0, bw);
+      }
+      inv_sum += inv[ps.bandwidth_class];
     }
     // Concurrent ports share the memory system: each per-port measurement
     // already reflects the full DRAM serving one stream, so the aggregate

@@ -1,5 +1,10 @@
 #include "tytra/dse/pool.hpp"
 
+#ifdef __linux__
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 #include <atomic>
 #include <condition_variable>
 #include <cstdio>
@@ -41,7 +46,50 @@ struct ThreadPool::Impl {
 
   std::vector<std::thread> threads;
 
+#ifdef __linux__
+  /// The process's CPU mask when the workers were placed; each worker
+  /// returns to it once it runs on the CPU it was placed on.
+  cpu_set_t process_mask{};
+  bool placed{false};
+
+  /// Pins each new worker to its own CPU of the process mask, round-robin
+  /// over the CPUs other than the spawner's. A new thread is otherwise
+  /// queued on the spawner's CPU and reaches an idle one only at a later
+  /// scheduler tick, so a fresh pool ran its first batches nearly
+  /// serially. Runs under `mu`, which every worker takes first, so no
+  /// worker runs before it is placed. Does nothing when the mask has one
+  /// CPU or a call fails.
+  void place_workers() TYTRA_REQUIRES(mu) {
+    if (sched_getaffinity(0, sizeof process_mask, &process_mask) != 0 ||
+        CPU_COUNT(&process_mask) < 2) {
+      return;
+    }
+    const int self = sched_getcpu();
+    std::vector<int> cpus;
+    for (int c = 0; c < CPU_SETSIZE; ++c) {
+      if (c != self && CPU_ISSET(c, &process_mask)) cpus.push_back(c);
+    }
+    for (std::size_t i = 0; i < threads.size(); ++i) {
+      cpu_set_t one;
+      CPU_ZERO(&one);
+      CPU_SET(cpus[i % cpus.size()], &one);
+      if (pthread_setaffinity_np(threads[i].native_handle(), sizeof one,
+                                 &one) == 0) {
+        placed = true;
+      }
+    }
+  }
+#endif
+
   void worker_main(std::uint32_t index) {
+    { MutexLock lock(mu); }  // the constructor places this thread first
+#ifdef __linux__
+    // Now running on its own CPU: drop the pin so nothing stays bound.
+    if (placed) {
+      (void)pthread_setaffinity_np(pthread_self(), sizeof process_mask,
+                                   &process_mask);
+    }
+#endif
     std::uint64_t seen = 0;
     for (;;) {
       const BatchFn* fn = nullptr;
@@ -84,9 +132,13 @@ ThreadPool::ThreadPool(std::uint32_t workers)
     : impl_(std::make_unique<Impl>()) {
   impl_->threads.reserve(workers);
   try {
+    MutexLock lock(impl_->mu);
     for (std::uint32_t i = 0; i < workers; ++i) {
       impl_->threads.emplace_back(&Impl::worker_main, impl_.get(), i + 1);
     }
+#ifdef __linux__
+    impl_->place_workers();
+#endif
   } catch (...) {
     // Spawn failed partway (e.g. EAGAIN): join what started and surface
     // the error instead of terminating in a joinable thread's destructor.

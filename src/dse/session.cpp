@@ -543,8 +543,9 @@ constexpr std::uint32_t kSecCalibration = 4;
 /// key scheme, entry layout, calibration layout). Bump on any change to
 /// those — the container format version in binio.hpp only covers the
 /// framing. Version 2 dropped the printed-IR identity text from structural
-/// entries; version 3 keeps one entries section of (variant key, report).
-constexpr std::uint32_t kSnapshotPayloadVersion = 3;
+/// entries; version 3 keeps one entries section of (variant key, report);
+/// version 4 drops the per-function resource table from each report.
+constexpr std::uint32_t kSnapshotPayloadVersion = 4;
 
 /// Opens a snapshot file and checks its container and meta section.
 Result<binio::Reader> open_snapshot(const std::string& path) {

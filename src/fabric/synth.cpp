@@ -69,15 +69,15 @@ ResourceVec function_resources(const Module& mod, const Function& f,
 
   const ir::FunctionSchedule sched = ir::schedule_function(mod, f);
   std::size_t instr_idx = 0;
+  std::size_t arg_idx = 0;
 
   // Per-lane datapath instructions.
   for (const auto& item : f.body) {
     const auto* instr = std::get_if<Instr>(&item);
     if (instr == nullptr) continue;
-    const int issue = instr_idx < sched.issue_at.size()
-                          ? sched.issue_at[instr_idx]
-                          : 0;
-    ++instr_idx;
+    const int issue = sched.issue_at[instr_idx++];
+    const int* arg_ready = sched.arg_ready.data() + arg_idx;
+    arg_idx += instr->args.size();
     if (opt.enable_cse) {
       InstrKey key{instr->op, instr->type, instr->args};
       if (!seen.insert(std::move(key)).second) continue;  // merged away
@@ -98,9 +98,8 @@ ResourceVec function_resources(const Module& mod, const Function& f,
     // instruction's issue stage ride a register chain (Fig. 13's
     // pass-through pipeline buffers).
     for (const auto& a : instr->args) {
+      const int ready = *arg_ready++;
       if (a.kind != Operand::Kind::Local) continue;
-      const auto it = sched.ready_at.find(a.name);
-      const int ready = it != sched.ready_at.end() ? it->second : 0;
       if (issue > ready) {
         total.regs += static_cast<double>(issue - ready) *
                       instr->type.scalar.bits * lanes;

@@ -15,22 +15,21 @@ namespace tytra::ir::lint {
 
 std::vector<const FunctionSummary*> reachable_functions(const Context& ctx) {
   std::vector<const FunctionSummary*> out;
-  std::unordered_set<std::string_view> seen;
-  std::vector<const FunctionSummary*> work;
-  if (const FunctionSummary* entry = ctx.summary.entry()) {
-    work.push_back(entry);
-    seen.insert(entry->func->name);
+  const std::vector<FunctionSummary>& fns = ctx.summary.functions;
+  std::vector<bool> seen(fns.size(), false);
+  std::vector<std::size_t> work;
+  if (ctx.summary.entry_index != kNoFunction) {
+    work.push_back(ctx.summary.entry_index);
+    seen[ctx.summary.entry_index] = true;
   }
   while (!work.empty()) {
-    const FunctionSummary* fs = work.back();
+    const FunctionSummary& fs = fns[work.back()];
     work.pop_back();
-    out.push_back(fs);
-    for (const Call* call : fs->calls) {
-      if (seen.contains(call->callee)) continue;
-      if (const FunctionSummary* child = ctx.summary.find(call->callee)) {
-        seen.insert(child->func->name);
-        work.push_back(child);
-      }
+    out.push_back(&fs);
+    for (const std::size_t callee : fs.callees) {
+      if (callee == kNoFunction || seen[callee]) continue;
+      seen[callee] = true;
+      work.push_back(callee);
     }
   }
   return out;

@@ -313,19 +313,22 @@ TEST(CliSnapshot, CorruptSnapshotDegradesToColdExitZero) {
 }
 
 /// A hand-built snapshot of an older payload schema: a valid container
-/// whose meta section names `version`, with the sections v1 and v2 wrote
-/// (meta, structural, variant, calibration).
+/// whose meta section names `version`, with the sections that version
+/// wrote: meta, structural, variant and calibration up to v2; meta,
+/// entries and calibration in v3.
 void write_old_snapshot(const std::string& path, std::uint32_t version) {
   tytra::binio::Writer w;
   tytra::binio::Encoder meta;
   meta.u32(version);
   w.add_section(1, meta.take());
-  for (const std::uint32_t id : {2u, 3u, 4u}) w.add_section(id, {});
+  for (const std::uint32_t id : {2u, 3u, 4u}) {
+    if (id != 3 || version < 3) w.add_section(id, {});
+  }
   ASSERT_TRUE(w.write(path).ok());
 }
 
 TEST(CliSnapshot, OlderPayloadSnapshotsColdStartAndFailVerify) {
-  for (const std::uint32_t version : {1u, 2u}) {
+  for (const std::uint32_t version : {1u, 2u, 3u}) {
     SCOPED_TRACE("payload v" + std::to_string(version));
     TempSnap snap("payload_old");
     TempSnap fresh("payload_old_cold");
@@ -338,7 +341,7 @@ TEST(CliSnapshot, OlderPayloadSnapshotsColdStartAndFailVerify) {
     EXPECT_EQ(verify.exit_code, 1);
     EXPECT_TRUE(verify.out.empty()) << verify.out;
     EXPECT_NE(verify.err.find("payload version " + std::to_string(version) +
-                              " unsupported (this build reads 3)"),
+                              " unsupported (this build reads 4)"),
               std::string::npos)
         << verify.err;
 

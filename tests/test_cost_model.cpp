@@ -167,12 +167,15 @@ TEST(ResourceModel, EstimatesScaleWithLanes) {
   EXPECT_LT(two.total.aluts, one.total.aluts * 2.3);
 }
 
-TEST(ResourceModel, PerFunctionBreakdownPresent) {
+TEST(ResourceModel, PerFunctionEstimateOfTheLaneBody) {
   kernels::SorConfig cfg;
   cfg.im = cfg.jm = cfg.km = 8;
-  const auto est = cost::estimate_resources(kernels::make_sor(cfg), db());
-  ASSERT_TRUE(est.per_function.count("f0"));
-  EXPECT_GT(est.per_function.at("f0").aluts, 50);
+  const ir::Module m = kernels::make_sor(cfg);
+  const ir::Function* f0 = m.find_function("f0");
+  ASSERT_NE(f0, nullptr);
+  const ResourceVec body = cost::estimate_function(m, *f0, db());
+  EXPECT_GT(body.aluts, 50);
+  EXPECT_LT(body.aluts, cost::estimate_resources(m, db()).total.aluts);
 }
 
 TEST(CostReport, ProducesCompleteReportQuickly) {

@@ -111,12 +111,38 @@ define void @main () { call @f0(@a) pipe }
 )");
   const auto* f0 = m.find_function("f0");
   const FunctionSchedule s = schedule_function(m, *f0);
-  // mul(ui18) latency 2, chained twice, then add latency 1.
-  EXPECT_EQ(s.ready_at.at("x"), 2);
-  EXPECT_EQ(s.ready_at.at("y"), 4);
-  EXPECT_EQ(s.ready_at.at("z"), 5);
+  // mul(ui18) latency 2, chained twice, then add latency 1: %x is ready at
+  // 2, %y at 4 and %z at 5.
+  EXPECT_EQ(s.issue_at, (std::vector<int>{0, 2, 4}));
+  EXPECT_EQ(s.arg_ready, (std::vector<int>{0, 0, 2, 2, 4, 0}));
   EXPECT_EQ(s.depth, 5);
   EXPECT_EQ(pipeline_depth(m), 5);
+}
+
+TEST(Schedule, ArgumentReadinessReadsTheLastDefinition) {
+  // Not SSA: %x is redefined and %z is used before its definition. An
+  // instruction issues on the definitions before it, while the readiness
+  // recorded per argument (which sizes the delay registers) is that of the
+  // name's last definition in the function.
+  const auto m = parse_module_or_die(R"(
+!ngs = 64
+define void @f0(ui18 %a) pipe {
+  ui18 %x = mul ui18 %a, %a
+  ui18 %y = add ui18 %x, %z
+  ui18 %x = add ui18 %a, 1
+  ui18 %z = mul ui18 %x, %x
+}
+define void @main () { call @f0(@a) pipe }
+)");
+  const FunctionSchedule s = schedule_function(m, *m.find_function("f0"));
+  EXPECT_EQ(s.issue_at, (std::vector<int>{0, 2, 0, 1}));
+  EXPECT_EQ(s.arg_ready, (std::vector<int>{0, 0, 1, 3, 0, 0, 1, 1}));
+  EXPECT_EQ(s.depth, 3);
+  // The summary's memoized walk records the same.
+  const AnalysisSummary summary = summarize(m);
+  const FunctionSummary& fs = summary.functions[0];
+  EXPECT_EQ(fs.schedule.issue_at, s.issue_at);
+  EXPECT_EQ(fs.schedule.arg_ready, s.arg_ready);
 }
 
 TEST(Schedule, IndependentOpsIssueInParallel) {
@@ -174,7 +200,7 @@ define void @f0(ui18 %p) pipe {
 define void @main () { call @f0(@p) pipe }
 )");
   const FunctionSchedule s = schedule_function(m, *m.find_function("f0"));
-  EXPECT_EQ(s.ready_at.at("pp"), 0);
+  EXPECT_EQ(s.arg_ready, (std::vector<int>{0, 0}));  // %pp, %p
   EXPECT_EQ(s.depth, 1);
 }
 

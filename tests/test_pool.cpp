@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include <atomic>
 #include <map>
 #include <mutex>
@@ -153,6 +157,29 @@ TEST(Pool, CountsSuppressedExceptionsAcrossBatches) {
   EXPECT_EQ(done.load(), 4);
   EXPECT_EQ(pool.suppressed_exception_count(), 4u);
 }
+
+#ifdef __linux__
+TEST(Pool, WorkersRunUnderTheProcessMaskAfterPlacement) {
+  // The constructor pins each new worker to its own CPU until the worker
+  // first runs; by the time a batch runs, every thread must be back on
+  // the process's full CPU mask.
+  cpu_set_t process{};
+  ASSERT_EQ(sched_getaffinity(0, sizeof process, &process), 0);
+  for (int round = 0; round < 3; ++round) {
+    dse::ThreadPool pool(3);
+    std::vector<int> same(4, -1);
+    pool.run_batch(4, [&](std::uint32_t index) {
+      cpu_set_t mask{};
+      if (sched_getaffinity(0, sizeof mask, &mask) == 0) {
+        same[index] = CPU_EQUAL(&mask, &process) ? 1 : 0;
+      }
+    });
+    for (std::size_t i = 0; i < same.size(); ++i) {
+      EXPECT_EQ(same[i], 1) << "round " << round << " participant " << i;
+    }
+  }
+}
+#endif
 
 TEST(Pool, DrainsASharedCursorCorrectly) {
   // The DSE usage pattern: the batch function drains an atomic cursor,

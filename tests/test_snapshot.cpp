@@ -90,9 +90,13 @@ FileStamp stamp_of(const std::string& path) {
           static_cast<std::uint64_t>(st.st_size)};
 }
 
+/// The current snapshot payload version (kSnapshotPayloadVersion).
+constexpr std::uint32_t kPayloadVersion = 4;
+
 /// The snapshot container's section ids (see src/dse/session.cpp). Payload
-/// v3 writes meta, entries and calibration; v1 and v2 files also carried
-/// a variant section (id 3), and their id 2 held structural entries.
+/// v3 and v4 write meta, entries and calibration; v1 and v2 files also
+/// carried a variant section (id 3), and their id 2 held structural
+/// entries.
 constexpr std::uint32_t kSecMeta = 1;
 constexpr std::uint32_t kSecEntries = 2;
 constexpr std::uint32_t kSecVariant = 3;
@@ -143,6 +147,47 @@ void write_v2_snapshot(const std::string& path) {
   write_snapshot(path, 2,
                  {{kSecEntries, structural.take()},
                   {kSecVariant, variant.take()},
+                  {kSecCalibration, calibration_section(db)}});
+}
+
+/// `r` as payload v3 encoded a report: v4's fields with the per-function
+/// resource table (a count, then name and four doubles each) between the
+/// design total and the utilization.
+std::string save_report_v3(const cost::CostReport& r) {
+  binio::Encoder v4;
+  cost::save_report(v4, r);
+  binio::Encoder reason;
+  reason.str(r.invalid_reason);
+  // What follows the total in v4: utilization (4 doubles), fits, seven
+  // throughput doubles, the wall, CPKI, valid, the reason and the time.
+  const std::size_t tail = 4 * 8 + 1 + 7 * 8 + 1 + 8 + 1 +
+                           reason.bytes().size() + 8;
+  binio::Encoder table;
+  table.u64(1);
+  table.str("f0");
+  for (const double v : {r.resources.total.aluts, r.resources.total.regs,
+                         r.resources.total.bram_bits, r.resources.total.dsps}) {
+    table.f64(v);
+  }
+  std::string bytes = v4.take();
+  bytes.insert(bytes.size() - tail, table.bytes());
+  return bytes;
+}
+
+/// A payload-v3 snapshot as the previous release wrote it: one entries
+/// section of (variant key, report with its per-function table).
+void write_v3_snapshot(const std::string& path) {
+  const auto& db = preset_db("stratix-v-gsd8");
+  dse::Job job = registry_job("sor", 8);
+  const frontend::Variant v = frontend::baseline_variant(job.n);
+  const dse::VariantKey key = *job.lower->key(v);
+  binio::Encoder entries;
+  entries.u64(key.key);
+  entries.u64(key.check);
+  std::string section = entries.take() +
+                        save_report_v3(cost::cost_design(job.lower->lower(v), db));
+  write_snapshot(path, 3,
+                 {{kSecEntries, std::move(section)},
                   {kSecCalibration, calibration_section(db)}});
 }
 
@@ -347,8 +392,7 @@ TEST(SnapshotPayloads, CostReportRoundTripsExactly) {
   EXPECT_EQ(cost::format_report(loaded), cost::format_report(report));
   EXPECT_EQ(loaded.design_name, report.design_name);
   EXPECT_EQ(loaded.valid, report.valid);
-  EXPECT_EQ(loaded.resources.per_function.size(),
-            report.resources.per_function.size());
+  EXPECT_EQ(loaded.resources.fits, report.resources.fits);
   EXPECT_EQ(std::memcmp(&loaded.throughput.ekit, &report.throughput.ekit,
                         sizeof(double)),
             0);
@@ -467,7 +511,8 @@ TEST(SnapshotPayloads, CalibrationUnderAForeignFingerprintIsRejected) {
   calib.str(db.device().name);
   calib.u64(db.fingerprint() + 1);
   db.save(calib);
-  write_snapshot(tmp.path, 3, {{kSecEntries, {}}, {kSecCalibration, calib.take()}});
+  write_snapshot(tmp.path, kPayloadVersion,
+                 {{kSecEntries, {}}, {kSecCalibration, calib.take()}});
   auto verified = dse::verify_snapshot(tmp.path);
   ASSERT_FALSE(verified.ok());
   EXPECT_NE(verified.diag().message.find("does not match its stored "
@@ -808,7 +853,8 @@ std::pair<SweepRender, std::string> run_capturing_stderr(
 void expect_old_payload_cold_start(const std::string& path,
                                    std::uint32_t version) {
   const std::string why = "payload version " + std::to_string(version) +
-                          " unsupported (this build reads 3)";
+                          " unsupported (this build reads " +
+                          std::to_string(kPayloadVersion) + ")";
   const SweepRender cold = run_with_snapshot("", "sor", 8, "stratix-v-gsd8",
                                              false);
   const auto [degraded, err] = run_capturing_stderr(path);
@@ -839,12 +885,18 @@ TEST(SessionSnapshot, PayloadV2FileColdStartsWithOneWarning) {
   expect_old_payload_cold_start(tmp.path, 2);
 }
 
+TEST(SessionSnapshot, PayloadV3FileColdStartsWithOneWarning) {
+  TempPath tmp("session_v3");
+  write_v3_snapshot(tmp.path);
+  expect_old_payload_cold_start(tmp.path, 3);
+}
+
 TEST(SessionSnapshot, CorruptEntryRollsBackToCold) {
   // One whole entry, then a truncated one behind a valid container frame:
   // the first entry loads, the second fails, and the load rolls back.
   TempPath tmp("session_corrupt_entry");
   const std::string entry = one_entry_dump();
-  write_snapshot(tmp.path, 3,
+  write_snapshot(tmp.path, kPayloadVersion,
                  {{kSecEntries, entry + entry.substr(0, entry.size() / 2)}});
   {
     dse::Session session;

@@ -394,7 +394,7 @@ TEST(AnalysisSummary, MatchesLegacyAnalysesOnAllKernels) {
       const ir::FunctionSchedule one = ir::schedule_function(m, *fs.func);
       EXPECT_EQ(fs.schedule.depth, one.depth) << fs.func->name;
       EXPECT_EQ(fs.schedule.issue_at, one.issue_at) << fs.func->name;
-      EXPECT_EQ(fs.schedule.ready_at, one.ready_at) << fs.func->name;
+      EXPECT_EQ(fs.schedule.arg_ready, one.arg_ready) << fs.func->name;
     }
   }
 }
@@ -422,12 +422,6 @@ TEST(AnalysisSummary, CostAndTimingOverloadsMatchModuleOnlyPaths) {
     const cost::ResourceEstimate rb = cost::estimate_resources(m, db, s);
     EXPECT_EQ(ra.total.to_string(), rb.total.to_string()) << lanes;
     EXPECT_EQ(ra.fits, rb.fits) << lanes;
-    EXPECT_EQ(ra.per_function.size(), rb.per_function.size()) << lanes;
-    for (const auto& [name, vec] : ra.per_function) {
-      const auto it = rb.per_function.find(name);
-      ASSERT_NE(it, rb.per_function.end()) << name;
-      EXPECT_EQ(vec.to_string(), it->second.to_string()) << name;
-    }
 
     const auto ta = cost::estimate_throughput(m, db);
     const auto tb = cost::estimate_throughput(m, db, s);
