@@ -186,7 +186,7 @@ struct AnalysisSummary {
 /// pipeline depths are memoized), every name — callee, operand, stream and
 /// memory object — is resolved to an index once, the configuration tree is
 /// built once, and every port's stream/memory lookup is resolved once. No
-/// later stage of the cost model looks a name up. All derived values are
+/// later stage of the cost model looks a name up. Each schedule is
 /// bit-identical to schedule_function's; the other standalone functions
 /// above are thin wrappers over this.
 /// Preconditions: module verifies.

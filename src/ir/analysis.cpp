@@ -289,7 +289,7 @@ NameIndex index_by_name(const std::vector<T>& items) {
   return index;
 }
 
-/// Position of the first item named `name`, or kNoFunction.
+/// Position of the first item named `name`, or kNoFunction when none is.
 std::size_t find_index(const NameIndex& index, std::string_view name) {
   const auto it = std::lower_bound(
       index.begin(), index.end(), name,
